@@ -23,6 +23,7 @@ mu = lam0/lam4; spinless (no degeneracy factor); hbar = m = 1.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline
 from scipy.special import expit
 
-from .errors import NoConvergence, NonpositiveBeta, OutOfDomain, QuadratureFailure
+from .errors import NoConvergence, NonFinite, NonpositiveBeta, OutOfDomain, QuadratureFailure
 
 UNBOUNDED = "unbounded"
 BRILLOUIN = "brillouin"
@@ -404,6 +405,8 @@ def energy_floor(model: EosModel, rho: float) -> float:
 
 def check_domain(model: EosModel, q: ConservedVector):
     """Raise OutOfDomain unless q is strictly inside the dualizable region."""
+    if not np.all(np.isfinite(q.as_array())):
+        raise NonFinite(f"non-finite densities {q.as_array()}")
     if q.rho <= 0.0:
         raise OutOfDomain(f"rho = {q.rho} must be > 0")
     if model.domain == BRILLOUIN and q.rho >= 1.0:
@@ -539,12 +542,23 @@ _TABLE_FORMAT = "fermi-euler-eos-table"
 _TABLE_VERSION = 1
 
 
+def _cell_taylor(knots: np.ndarray):
+    """Left edges of the nonempty intervals of a cubic spline's knot vector
+    and the Taylor coefficients of its basis functions there, shape
+    (4, n_intervals, n_basis): on interval i, B_j(x) = sum_m T[m, i, j] (x - edge_i)^m."""
+    edges = np.unique(knots)[:-1]
+    basis = BSpline(knots, np.eye(knots.size - 4), 3)
+    return edges, np.stack([basis(edges, nu=m) / math.factorial(m) for m in range(4)])
+
+
 @dataclass(frozen=True)
 class EosTable:
     """Cubic-spline table of the rest pressure over (rho, e_int).
 
-    Immutable after construction; pressure() and partials() interpolate,
-    raising OutOfDomain outside the tabulated rectangle.
+    Immutable after construction; evaluate(), pressure() and partials()
+    interpolate, raising OutOfDomain outside the tabulated rectangle.  The
+    interpolating spline is held as one bicubic polynomial per knot cell,
+    so a single pass gives P and both partials.
     """
 
     d: int
@@ -554,33 +568,54 @@ class EosTable:
     p_grid: np.ndarray        # shape (n_rho, n_eint)
     dp_drho_grid: np.ndarray
     dp_deint_grid: np.ndarray
-    _spline: RectBivariateSpline = field(repr=False, compare=False, default=None)
+    # (rho edges, e_int edges, coefficients [cell, n, m] of v^n u^m), with
+    # u, v the offsets from the cell's lower corner
+    _cells: tuple = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self._spline is None:
-            object.__setattr__(
-                self,
-                "_spline",
-                RectBivariateSpline(self.rho_grid, self.eint_grid, self.p_grid, kx=3, ky=3),
-            )
+        spline = RectBivariateSpline(self.rho_grid, self.eint_grid, self.p_grid, kx=3, ky=3)
+        tx, ty, c = spline.tck
+        rho_edges, tr = _cell_taylor(tx)
+        eint_edges, te = _cell_taylor(ty)
+        coef = np.einsum("mip,pq,njq->ijnm", tr, c.reshape(tx.size - 4, ty.size - 4), te)
+        object.__setattr__(self, "_cells", (rho_edges, eint_edges, coef.reshape(-1, 4, 4)))
 
     def _guard(self, rho, eint):
         rho = np.asarray(rho, dtype=float)
         eint = np.asarray(eint, dtype=float)
+        finite = np.isfinite(rho) & np.isfinite(eint)
+        if not np.all(finite):
+            raise NonFinite(f"non-finite (rho, e_int) at index {int(np.argmin(finite))}")
         if np.any(rho < self.rho_grid[0]) or np.any(rho > self.rho_grid[-1]):
             raise OutOfDomain("rho outside tabulated range")
         if np.any(eint < self.eint_grid[0]) or np.any(eint > self.eint_grid[-1]):
             raise OutOfDomain("e_int outside tabulated range")
         return rho, eint
 
-    def pressure(self, rho, eint):
+    def evaluate(self, rho, eint):
+        """(P, dP/drho, dP/de_int) of the spline, Horner-evaluated on the
+        bicubic piece of each point's knot cell."""
         rho, eint = self._guard(rho, eint)
-        out = self._spline.ev(rho, eint)
+        rho_edges, eint_edges, coef = self._cells
+        i = np.clip(np.searchsorted(rho_edges, rho, side="right") - 1, 0, rho_edges.size - 1)
+        j = np.clip(np.searchsorted(eint_edges, eint, side="right") - 1, 0, eint_edges.size - 1)
+        u = rho - rho_edges[i]
+        v = (eint - eint_edges[j])[..., None]
+        a = coef[i * eint_edges.size + j]
+        # coefficients of u^m after summing over the powers of v, and of dv
+        av = ((a[..., 3, :] * v + a[..., 2, :]) * v + a[..., 1, :]) * v + a[..., 0, :]
+        dav = (3.0 * a[..., 3, :] * v + 2.0 * a[..., 2, :]) * v + a[..., 1, :]
+        p = ((av[..., 3] * u + av[..., 2]) * u + av[..., 1]) * u + av[..., 0]
+        dp_drho = (3.0 * av[..., 3] * u + 2.0 * av[..., 2]) * u + av[..., 1]
+        dp_deint = ((dav[..., 3] * u + dav[..., 2]) * u + dav[..., 1]) * u + dav[..., 0]
+        return p, dp_drho, dp_deint
+
+    def pressure(self, rho, eint):
+        out = self.evaluate(rho, eint)[0]
         return float(out) if out.ndim == 0 else out
 
     def partials(self, rho, eint):
-        rho, eint = self._guard(rho, eint)
-        return self._spline.ev(rho, eint, dx=1), self._spline.ev(rho, eint, dy=1)
+        return self.evaluate(rho, eint)[1:]
 
     def save(self, path) -> None:
         payload = {
@@ -620,6 +655,17 @@ class EosTable:
         )
 
 
+def _rest_partials(model: EosModel, lam: MultiplierVector, rho, eint, p):
+    """Exact partials (dP/drho, dP/de_int) of the rest pressure p = psi/lam4
+    at the rest-frame multipliers lam fitted to (rho, e_int), from the 2x2
+    rest-frame response d(rho, e)/d(lam0, lam4) = [[H00, H04], [-H04, -H44]]
+    and dP = (rho dlam0 - (e_int + P) dlam4) / lam4."""
+    H = hessian_psi(model, lam)
+    jac = np.array([[H[0, 0], H[0, -1]], [-H[0, -1], -H[-1, -1]]])
+    grad_lam = np.array([rho / lam.lam4, -(eint + p) / lam.lam4])
+    return np.linalg.solve(jac.T, grad_lam)
+
+
 def tabulate(
     model: EosModel,
     rho_range: tuple[float, float],
@@ -656,14 +702,8 @@ def tabulate(
             row_guess = lam
             if j == 0:
                 guess = lam  # warm start for the next rho row
-            psi = pressure_psi(model, lam)
-            p[i, j] = psi / lam.lam4
-            # exact partials from the 2x2 rest-frame response:
-            #   d(rho, e)/d(lam0, lam4) = [[H00, H04], [-H04, -H44]]
-            H = hessian_psi(model, lam)
-            jac = np.array([[H[0, 0], H[0, -1]], [-H[0, -1], -H[-1, -1]]])
-            grad_lam = np.array([rho / lam.lam4, -(eint + p[i, j]) / lam.lam4])
-            dp_drho[i, j], dp_deint[i, j] = np.linalg.solve(jac.T, grad_lam)
+            p[i, j] = pressure_psi(model, lam) / lam.lam4
+            dp_drho[i, j], dp_deint[i, j] = _rest_partials(model, lam, rho, eint, p[i, j])
     return EosTable(
         d=model.d,
         domain=model.domain,
@@ -676,26 +716,51 @@ def tabulate(
 
 
 class PressureClosure:
-    """Callable P(rho, e_int) for the Euler solver: table-backed by default,
-    direct Newton evaluation when validating.
+    """Callable P(rho, e_int) for the Euler solver, with `partials` giving
+    (dP/drho, dP/de_int) of the same surface: table-backed by default (the
+    spline), direct Newton evaluation when validating (the rest-frame
+    inversion and its exact response).
 
-    The table path is pure and safe to share; the direct path keeps a
-    warm-start multiplier between calls, so use one instance per thread."""
+    Both paths evaluate P and its partials together and remember the last
+    evaluation, so the partials at the points of a pressure just computed
+    cost nothing more; the direct path also keeps a warm-start multiplier
+    between calls.  Use one instance per thread."""
 
     def __init__(self, model: EosModel, table: EosTable | None = None):
         self.model = model
         self.table = table
         self._guess = None
+        self._last = None  # ((rho, e_int), (P, dP/drho, dP/de_int)) of the last evaluation
 
     def __call__(self, rho, eint):
+        p = self._evaluate(rho, eint)[0]
+        return float(p) if np.ndim(p) == 0 else p.copy()
+
+    def partials(self, rho, eint):
+        """(dP/drho, dP/de_int) at (rho, e_int)."""
+        _, dp_drho, dp_deint = self._evaluate(rho, eint)
+        if np.ndim(dp_drho) == 0:
+            return float(dp_drho), float(dp_deint)
+        return dp_drho.copy(), dp_deint.copy()
+
+    def _evaluate(self, rho, eint):
+        points = (np.array(rho, dtype=float), np.array(eint, dtype=float))
+        if self._last is not None and all(map(np.array_equal, points, self._last[0])):
+            return self._last[1]
         if self.table is not None:
-            return self.table.pressure(rho, eint)
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        eint_arr = np.atleast_1d(np.asarray(eint, dtype=float))
-        out = np.empty_like(rho_arr)
-        for i in range(rho_arr.size):
-            q = ConservedVector(rho=rho_arr[i], mom=np.zeros(self.model.d), e=eint_arr[i])
+            values = self.table.evaluate(*points)
+        else:
+            values = self._direct(*points)
+        self._last = (points, values)
+        return values
+
+    def _direct(self, rho: np.ndarray, eint: np.ndarray):
+        values = np.empty((3,) + rho.shape)
+        for idx in np.ndindex(rho.shape):
+            q = ConservedVector(rho=rho[idx], mom=np.zeros(self.model.d), e=eint[idx])
             lam = invert_to_multipliers(self.model, q, self._guess)
             self._guess = lam
-            out[i] = pressure_psi(self.model, lam) / lam.lam4
-        return float(out[0]) if np.isscalar(rho) or np.asarray(rho).ndim == 0 else out
+            p = pressure_psi(self.model, lam) / lam.lam4
+            dp = _rest_partials(self.model, lam, rho[idx], eint[idx], p)
+            values[(slice(None), *idx)] = (p, *dp)
+        return tuple(values)

@@ -17,6 +17,11 @@ class OutOfDomain(FermiEulerError):
     """Conserved densities outside the one-phase (dualizable) region."""
 
 
+class NonFinite(OutOfDomain):
+    """NaN or infinite value where a finite one is required; the message
+    names the offending cell, site or index."""
+
+
 class NoConvergence(FermiEulerError):
     """Newton iteration failed; carries the final residual."""
 

@@ -425,26 +425,40 @@ def run_eos_table(config: ExperimentConfig, out_dir=None) -> Path:
 
 
 def run_rate_scan(config: ExperimentConfig, out_dir=None) -> Path:
-    """rate-scan: CSV of I(q', lam) over a (rho, e) grid at fixed lam."""
+    """rate-scan: CSV of I(q', lam) over a (rho, e) grid at fixed lam.
+
+    psi(lam) is evaluated once; each inversion starts from the previous
+    point's maximizer, each row from the first maximizer of the previous
+    row, as `eos.tabulate` does.  A point that fails writes NaN."""
     model = config.eos_model()
     scan = config.extra.get("rate_scan", {})
     lam = eos.MultiplierVector.from_physical(
         scan.get("beta", 1.0), scan.get("alpha", 0.0), scan.get("mu", 0.0)
     )
     q_center = eos.dual_q(model, lam)
+    psi_lam = eos.pressure_psi(model, lam)
     spans = scan.get("span", 0.25)
     n_pts = int(scan.get("points", 9))
     rows = []
+    guess = None
     for fr in np.linspace(1.0 - spans, 1.0 + spans, n_pts):
+        row_guess, row_first = guess, None
         for fe in np.linspace(1.0 - spans, 1.0 + spans, n_pts):
             q = eos.ConservedVector(
                 rho=fr * q_center.rho, mom=q_center.mom, e=fe * q_center.e
             )
             try:
-                val = ldp.rate_I(model, q, lam).rate
+                ev = ldp.rate_I(model, q, lam, row_guess, psi_lam)
             except (OutOfDomain, NoConvergence):
                 val = float("nan")
+            else:
+                val = ev.rate
+                row_guess = ev.maximizer
+                if row_first is None:
+                    row_first = ev.maximizer
             rows.append([float(q.rho), float(q.e), float(val)])
+        if row_first is not None:
+            guess = row_first
     out = Path(out_dir or config.out_dir)
     _write_csv(out / "rate_scan.csv", ["rho", "e", "I"], rows)
     write_manifest(out, config)

@@ -63,10 +63,16 @@ def rate_I(
     q_prime: ConservedVector,
     lam: MultiplierVector,
     initial_guess: MultiplierVector | None = None,
+    psi_lam: float | None = None,
 ) -> RateEvaluation:
-    """Rate function I(q', lam) = s(q') + psi(lam) - lam . q'."""
+    """Rate function I(q', lam) = s(q') + psi(lam) - lam . q'.
+
+    A scan over q' at fixed lam passes psi_lam = psi(lam), evaluated once,
+    and the previous point's maximizer as initial_guess."""
     s_val, lam_star = entropy_s(model, q_prime, initial_guess)
-    rate = s_val + eos.pressure_psi(model, lam) - lam.pair(q_prime)
+    if psi_lam is None:
+        psi_lam = eos.pressure_psi(model, lam)
+    rate = s_val + psi_lam - lam.pair(q_prime)
     return RateEvaluation(
         q_prime=q_prime, lam=lam, s_value=s_val, rate=float(rate), maximizer=lam_star
     )

@@ -35,10 +35,12 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh
 
+from .eos import brillouin_momenta
 from .errors import (
     BadWindow,
     CutoffTooLarge,
     MomentDiverges,
+    NonFinite,
     NonpositiveBeta,
     SingularReference,
 )
@@ -76,11 +78,7 @@ class Lattice:
     @cached_property
     def momenta(self) -> np.ndarray:
         """FFT-index-ordered momenta 2*pi*k/L in (-pi, pi], Nyquist at +pi."""
-        k = np.arange(self.L)
-        k = np.where(k <= self.L // 2, k, k - self.L)
-        if self.L % 2 == 0:
-            k[self.L // 2] = self.L // 2
-        return 2.0 * np.pi * k / self.L
+        return brillouin_momenta(self.L)
 
     @property
     def nyquist_index(self) -> int | None:
@@ -192,6 +190,9 @@ class MultiplierField:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.lattice.L,):
                 raise ValueError(f"{name} must have one value per site")
+            finite = np.isfinite(arr)
+            if not np.all(finite):
+                raise NonFinite(f"{name} is not finite at site {int(np.argmin(finite))}")
             object.__setattr__(self, name, arr)
         if np.any(self.lam4 <= 0.0):
             raise NonpositiveBeta("lam4 must be positive at every site")

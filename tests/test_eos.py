@@ -20,7 +20,7 @@ from fermi_euler.eos import (
     tabulate,
     virial_gap,
 )
-from fermi_euler.errors import NonpositiveBeta, OutOfDomain
+from fermi_euler.errors import NonFinite, NonpositiveBeta, OutOfDomain
 
 M1 = EosModel(d=1, domain=UNBOUNDED)
 
@@ -191,6 +191,10 @@ class TestInversion:
         with pytest.raises(OutOfDomain):
             invert_to_multipliers(M1, ConservedVector(rho=0.0, mom=[0.0], e=0.1))
 
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(NonFinite):
+            invert_to_multipliers(M1, ConservedVector(rho=0.3, mom=[np.nan], e=0.1))
+
 
 class TestRestPressure:
     def test_degenerate_pressure(self):
@@ -293,6 +297,31 @@ class TestTable:
     def test_floor_violation_rejected(self):
         with pytest.raises(OutOfDomain):
             tabulate(M1, (0.2, 0.4), (0.5 * energy_floor(M1, 0.4), 0.2), resolution=(8, 8))
+
+    def test_evaluate_matches_fitpack_spline(self, table, rng):
+        # the bicubic pieces reproduce scipy's evaluation of the same spline
+        from scipy.interpolate import RectBivariateSpline
+
+        spline = RectBivariateSpline(table.rho_grid, table.eint_grid, table.p_grid)
+        rho = np.concatenate([table.rho_grid[[0, -1, 0, -1]], table.rho_grid,
+                              rng.uniform(table.rho_grid[0], table.rho_grid[-1], 500)])
+        eint = np.concatenate([table.eint_grid[[0, 0, -1, -1]], table.eint_grid,
+                               rng.uniform(table.eint_grid[0], table.eint_grid[-1], 500)])
+        p, dp_drho, dp_deint = table.evaluate(rho, eint)
+        ref = spline.ev(rho, eint)
+        assert np.max(np.abs(p - ref)) < 1e-13 * np.abs(ref).max()
+        scale = np.abs(spline.ev(rho, eint, dy=1)).max()
+        assert np.max(np.abs(dp_drho - spline.ev(rho, eint, dx=1))) < 1e-10 * scale
+        assert np.max(np.abs(dp_deint - spline.ev(rho, eint, dy=1))) < 1e-10 * scale
+
+    def test_non_finite_probe_rejected(self, table):
+        rho = np.full(4, 0.3)
+        eint = np.full(4, 0.15)
+        eint[2] = np.nan
+        with pytest.raises(NonFinite, match="index 2"):
+            table.pressure(rho, eint)
+        with pytest.raises(NonFinite, match="index 2"):
+            table.partials(eint, rho)
 
     def test_probe_outside_ranges_rejected(self, table):
         with pytest.raises(OutOfDomain):

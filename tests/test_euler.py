@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from fermi_euler import eos
-from fermi_euler.errors import CflViolation, LeftOnePhaseRegion, OutOfDomain, VacuumCell
+from fermi_euler import euler as euler_module
+from fermi_euler.errors import (
+    CflViolation,
+    LeftOnePhaseRegion,
+    NonFinite,
+    OutOfDomain,
+    VacuumCell,
+)
 from fermi_euler.euler import (
     ConservedField,
     EulerSolution,
@@ -41,6 +48,44 @@ def closure():
 
 def bump_field(n_cells):
     return initial_q_field("lambda-cos", BUMP, MacroGrid(n_cells), MODEL)
+
+
+def fd_spectral_radius(q, closure):
+    """Oracle: spectral radius of the central-difference flux Jacobian,
+    evaluated at |mom| like the solver's bound."""
+    q = ConservedField(rho=q.rho, mom=np.abs(q.mom), e=q.e)
+    base = q.stack()
+    scale = np.maximum(np.abs(base), 1e-3)
+    jac = np.empty((q.n_cells, 3, 3))
+    for i in range(3):
+        h = 1e-6 * scale[i]
+        up = base.copy()
+        dn = base.copy()
+        up[i] += h
+        dn[i] -= h
+        qu, qd = ConservedField.from_stack(up), ConservedField.from_stack(dn)
+        fu = flux_A(qu, closure(qu.rho, qu.e_internal))
+        fd = flux_A(qd, closure(qd.rho, qd.e_internal))
+        jac[:, :, i] = ((fu - fd) / (2.0 * h)).T
+    return np.abs(np.linalg.eigvals(jac)).max(axis=1)
+
+
+class CountingClosure:
+    """Wraps a closure and counts pressure and partials evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model = inner.model
+        self.pressure_calls = 0
+        self.partials_calls = 0
+
+    def __call__(self, rho, eint):
+        self.pressure_calls += 1
+        return self.inner(rho, eint)
+
+    def partials(self, rho, eint):
+        self.partials_calls += 1
+        return self.inner.partials(rho, eint)
 
 
 class TestFlux:
@@ -128,12 +173,63 @@ class TestStep:
         with pytest.raises(LeftOnePhaseRegion):
             step(sol, 1e-5)
 
+    def test_nan_cell_rejected_with_cell_named(self, closure):
+        q = bump_field(64)
+        for name in ("rho", "mom", "e"):
+            fields = {"rho": q.rho.copy(), "mom": q.mom.copy(), "e": q.e.copy()}
+            fields[name][5] = np.nan
+            sol = EulerSolution(
+                grid=MacroGrid(64), q=ConservedField(**fields), time=0.0, closure=closure
+            )
+            with pytest.raises(NonFinite, match="cell 5"):
+                step(sol, 1e-5)
+            with pytest.raises(NonFinite, match="cell 5"):
+                run(sol.q, 0.01, sol.grid, closure)
+
     def test_wave_speed_even_in_momentum(self, closure):
         q = bump_field(64)
         flipped = ConservedField(rho=q.rho, mom=-q.mom, e=q.e)
         assert np.array_equal(
             wave_speed_bound(q, closure), wave_speed_bound(flipped, closure)
         )
+
+
+class TestWaveSpeed:
+    def test_matches_fd_jacobian_oracle(self, closure):
+        q = bump_field(256)
+        oracle = fd_spectral_radius(q, closure)
+        rel = np.abs(wave_speed_bound(q, closure) - oracle) / oracle
+        assert rel.max() <= 1e-6
+
+    def test_direct_partials_match_table(self, closure):
+        direct = eos.PressureClosure(MODEL, None)
+        rng = np.random.default_rng(3)
+        rho = rng.uniform(0.16, 0.20, 12)
+        eint = rng.uniform(0.038, 0.062, 12)
+        t_rho, t_eint = closure.partials(rho, eint)
+        d_rho, d_eint = direct.partials(rho, eint)
+        # dP/drho is small beside dP/de_int ~ 2 (the 1D virial), so both
+        # are compared on the scale of dP/de_int
+        assert np.max(np.abs(t_rho - d_rho) / np.abs(d_eint)) < 1e-6
+        assert np.max(np.abs(t_eint - d_eint) / np.abs(d_eint)) < 1e-6
+
+    def test_direct_scalar_partials(self):
+        direct = eos.PressureClosure(MODEL, None)
+        d_rho, d_eint = direct.partials(0.18, 0.05)
+        a_rho, a_eint = direct.partials(np.array([0.18]), np.array([0.05]))
+        assert isinstance(d_rho, float) and isinstance(d_eint, float)
+        assert (d_rho, d_eint) == (a_rho[0], a_eint[0])
+
+    def test_nonpositive_sound_speed_names_cell(self, closure):
+        class Softened(CountingClosure):
+            def partials(self, rho, eint):
+                d_rho, d_eint = self.inner.partials(rho, eint)
+                d_eint = d_eint.copy()
+                d_eint[5] = -1.0
+                return d_rho, d_eint
+
+        with pytest.raises(LeftOnePhaseRegion, match="cell 5"):
+            wave_speed_bound(bump_field(16), Softened(closure))
 
 
 class TestRun:
@@ -149,6 +245,34 @@ class TestRun:
         traj = run(bump_field(64), 0.02, grid, closure, snapshot_times=[0.01])
         assert traj.times == pytest.approx([0.0, 0.01, 0.02], abs=1e-14)
         assert traj.at(0.01).n_cells == 64
+
+    def test_direct_closure_matches_table(self, closure):
+        grid = MacroGrid(16)
+        q0 = bump_field(16)
+        tabled = run(q0, 0.1, grid, closure).snapshots[-1]
+        direct = run(q0, 0.1, grid, eos.PressureClosure(MODEL, None)).snapshots[-1]
+        scale = np.abs(tabled.stack()).max(axis=1)[:, None]
+        assert np.max(np.abs(direct.stack() - tabled.stack()) / scale) < 1e-7
+
+    def test_two_evaluations_per_step(self, closure, monkeypatch):
+        calls = {"step": 0, "wave_speed_bound": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(euler_module, "step", counted(step))
+        monkeypatch.setattr(euler_module, "wave_speed_bound", counted(wave_speed_bound))
+        counting = CountingClosure(closure)
+        run(bump_field(64), 0.02, MacroGrid(64), counting, snapshot_times=[0.01])
+        steps = calls["step"]
+        assert steps > 2
+        assert calls["wave_speed_bound"] == 2 * steps
+        assert counting.partials_calls == 2 * steps
+        assert counting.pressure_calls == 2 * steps
 
     def test_self_convergence_order(self, closure):
         sols = {}

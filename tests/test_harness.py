@@ -181,6 +181,36 @@ class TestExperiments:
         assert lines[0] == "rho,e,I"
         assert len(lines) == 26
 
+    def test_rate_scan_evaluates_reference_psi_once(self, tmp_path, monkeypatch):
+        from fermi_euler import eos, ldp
+
+        scan = {"beta": 1.0, "mu": 0.0, "points": 5}
+        cfg = small_config("rate-scan", tmp_path / "rs", extra={"rate_scan": scan})
+        calls = {"pressure_psi": 0, "default_guess": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(eos, name, counted(getattr(eos, name)))
+            experiments.run_rate_scan(cfg)
+        # one psi per maximizer plus the reference psi(lam); only the first
+        # inversion starts cold, the rest from a neighbour's maximizer
+        assert calls == {"pressure_psi": 26, "default_guess": 1}
+        model = cfg.eos_model()
+        lam = eos.MultiplierVector.from_physical(1.0, 0.0, 0.0)
+        mom = eos.dual_q(model, lam).mom
+        lines = (tmp_path / "rs" / "rate_scan.csv").read_text().splitlines()[1:]
+        for line in lines:
+            rho, e, rate = map(float, line.split(","))
+            cold = ldp.rate_I(model, eos.ConservedVector(rho=rho, mom=mom, e=e), lam)
+            assert rate == pytest.approx(cold.rate, abs=1e-12)
+
     def test_determinism_bit_identical(self, tmp_path):
         cfg_a = small_config("hydro-compare", tmp_path / "a", l_list=[64])
         cfg_b = small_config("hydro-compare", tmp_path / "b", l_list=[64])

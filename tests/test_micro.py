@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fermi_euler import entropy, eos
-from fermi_euler.errors import BadWindow, CutoffTooLarge, MomentDiverges, NonpositiveBeta
+from fermi_euler.errors import (
+    BadWindow,
+    CutoffTooLarge,
+    MomentDiverges,
+    NonFinite,
+    NonpositiveBeta,
+)
 from fermi_euler.micro import (
     CurrentTensor,
     GaussianState,
@@ -92,6 +98,13 @@ class TestGibbs:
         lat = Lattice(32)
         with pytest.raises(NonpositiveBeta):
             MultiplierField.constant(lat, -1.0, 0.0, 0.0)
+
+    def test_non_finite_multiplier_names_site(self):
+        lat = Lattice(32)
+        lam4 = np.full(32, 2.0)
+        lam4[9] = np.nan
+        with pytest.raises(NonFinite, match="lam4 is not finite at site 9"):
+            MultiplierField(lat, lam0=np.zeros(32), lam1=np.zeros(32), lam4=lam4)
 
     def test_matches_fock_oracle(self, rng):
         lat = Lattice(5)
