@@ -12,7 +12,11 @@ conserved densities are the gradient of psi with the signed pairing
     lam . q = lam0*rho + lam_mom.mom - lam4*e,
 
 so rho = d(psi)/d(lam0), mom_j = d(psi)/d(lam_j) and e = -d(psi)/d(lam4),
-keeping the energy density positive.  Inversion of the dual map, the
+keeping the energy density positive.  On the unbounded domain completing
+the square shows that psi depends on (lam0, lam_mom) only through the
+rest-frame exponent z = lam0 + |lam_mom|^2/(2*lam4): in every dimension psi,
+the densities and the Hessian come from radial rest-frame quadratures in
+(z, lam4) and the chain rule.  Inversion of the dual map, the
 rest-frame pressure closure P(rho, e_int), the virial residual, and a
 tabulated closure for the Euler solver all live here.
 
@@ -191,7 +195,7 @@ def _log1pexp(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _quad(fun, a: float, b: float, rtol: float, points=None, atol: float = 1e-12) -> float:
+def _quad(fun, a: float, b: float, rtol: float, points=None) -> float:
     """Adaptive quadrature with failure detection."""
     if b <= a:
         return 0.0
@@ -205,53 +209,19 @@ def _quad(fun, a: float, b: float, rtol: float, points=None, atol: float = 1e-12
         # estimate ourselves below
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(fun, a, b, epsabs=1e-300, epsrel=rtol, limit=300, points=pts)
-    if err > max(10.0 * rtol * abs(val), atol):
+    if err > max(10.0 * rtol * abs(val), 1e-12):
         raise QuadratureFailure(
             f"quadrature error estimate {err:.3e} exceeds tolerance for value {val:.6e}"
         )
     return val
 
 
-def _fermi_points(lam0: float, lam1: float, lam4: float):
-    """Roots of lam0 + lam1*p - lam4*p^2/2 = 0 (the Fermi surface), if real."""
-    disc = lam1 * lam1 + 2.0 * lam4 * lam0
-    if disc <= 0.0:
-        return []
-    r = np.sqrt(disc)
-    return [(lam1 - r) / lam4, (lam1 + r) / lam4]
-
-
-def _cutoff_1d(lam0: float, lam1: float, lam4: float):
-    """Bounds where the exponent crosses _G_FLOOR (integrand < 1e-18 outside)."""
-    disc = lam1 * lam1 + 2.0 * lam4 * (lam0 - _G_FLOOR)
-    r = np.sqrt(disc)
-    return (lam1 - r) / lam4, (lam1 + r) / lam4
-
-
-def _moment_1d(lam: MultiplierVector, power: int, fisher: bool, rtol: float) -> float:
-    """(2*pi)^-1 * Integral p^power * w(p) dp over the real line, with
-    w = f (occupation) or f(1-f) (fisher weight)."""
-    lam0, lam1, lam4 = lam.lam0, float(lam.lam_mom[0]), lam.lam4
-
-    def wfun(p):
-        g = lam0 + lam1 * p - 0.5 * lam4 * p * p
-        w = expit(g)
-        if fisher:
-            w = w * expit(-g)
-        return p**power * w if power else w
-
-    a, b = _cutoff_1d(lam0, lam1, lam4)
-    # odd moments of near-symmetric weights cancel to ~0; allow a loose
-    # absolute floor on the error estimate there (these only steer Newton)
-    atol = 1e-9 if (fisher or power % 2 == 1) else 1e-12
-    return _quad(wfun, a, b, rtol, points=_fermi_points(lam0, lam1, lam4), atol=atol) / (
-        2.0 * np.pi
-    )
-
-
 def _radial_moment(d: int, lt0: float, lam4: float, kind: str, k: int, rtol: float) -> float:
     """(2*pi)^-d * S_{d-1} * Integral r^{d-1} (r^2/2)^k w(r) dr for the
-    rest-frame exponent lt0 - lam4 r^2/2; kind in {"log", "f", "fisher"}."""
+    rest-frame exponent lt0 - lam4 r^2/2; kind in {"log", "f", "fisher"}.
+
+    Every unbounded moment in d = 1, 2, 3 is one of these: S_0 = 2 folds
+    the even 1D integrand onto the half line."""
     area = _SPHERE_AREA[d]
 
     def wfun(r):
@@ -294,24 +264,16 @@ def pressure_psi(model: EosModel, lam: MultiplierVector) -> float:
     if model.domain == BRILLOUIN:
         _, _, g = _bz_weights(model, lam)
         return float(np.mean(_log1pexp(g)))
-    if model.d == 1:
-        lam0, lam1, lam4 = lam.lam0, float(lam.lam_mom[0]), lam.lam4
-
-        def fun(p):
-            return _log1pexp(lam0 + lam1 * p - 0.5 * lam4 * p * p)
-
-        a, b = _cutoff_1d(lam0, lam1, lam4)
-        return _quad(fun, a, b, model.quad_rtol, points=_fermi_points(lam0, lam1, lam4)) / (
-            2.0 * np.pi
-        )
-    # d >= 2: boost invariance of the unbounded integral is exact, reduce to
-    # the rest frame and integrate radially
+    # completing the square makes the unbounded integral boost invariant:
+    # integrate radially in the rest frame
     return _radial_moment(model.d, _rest_frame(lam), lam.lam4, "log", 0, model.quad_rtol)
 
 
 def dual_q(model: EosModel, lam: MultiplierVector) -> ConservedVector:
     """Conserved densities dual to lam: the gradient of psi under the signed
-    pairing, computed as direct Fermi-function quadratures."""
+    pairing, computed as direct Fermi-function quadratures (on the unbounded
+    domain in the rest frame, then boosted: mom = alpha rho,
+    e = e_rest + |alpha|^2 rho / 2)."""
     _check(model, lam)
     if model.domain == BRILLOUIN:
         pts, psq, g = _bz_weights(model, lam)
@@ -320,11 +282,6 @@ def dual_q(model: EosModel, lam: MultiplierVector) -> ConservedVector:
         rho = float(np.sum(f) * w)
         mom = pts.T @ f * w
         e = float(np.sum(0.5 * psq * f) * w)
-        return ConservedVector(rho=rho, mom=mom, e=e)
-    if model.d == 1:
-        rho = _moment_1d(lam, 0, False, model.quad_rtol)
-        mom = np.array([_moment_1d(lam, 1, False, model.quad_rtol)])
-        e = 0.5 * _moment_1d(lam, 2, False, model.quad_rtol)
         return ConservedVector(rho=rho, mom=mom, e=e)
     lt0 = _rest_frame(lam)
     rho = _radial_moment(model.d, lt0, lam.lam4, "f", 0, model.quad_rtol)
@@ -350,15 +307,7 @@ def hessian_psi(model: EosModel, lam: MultiplierVector) -> np.ndarray:
         )
         H[:] = (basis * fw[:, None]).T @ basis * w
         return H
-    if d == 1:
-        M = [_moment_1d(lam, k, True, model.quad_rtol) for k in range(5)]
-        H[:] = [
-            [M[0], M[1], -0.5 * M[2]],
-            [M[1], M[2], -0.5 * M[3]],
-            [-0.5 * M[2], -0.5 * M[3], 0.25 * M[4]],
-        ]
-        return H
-    # unbounded d >= 2 via the rest-frame reduction and the chain rule
+    # unbounded: the rest-frame reduction and the chain rule
     lt0 = _rest_frame(lam)
     lam4 = lam.lam4
     m = lam.lam_mom
@@ -566,8 +515,6 @@ class EosTable:
     rho_grid: np.ndarray
     eint_grid: np.ndarray
     p_grid: np.ndarray        # shape (n_rho, n_eint)
-    dp_drho_grid: np.ndarray
-    dp_deint_grid: np.ndarray
     # (rho edges, e_int edges, coefficients [cell, n, m] of v^n u^m), with
     # u, v the offsets from the cell's lower corner
     _cells: tuple = field(repr=False, compare=False, default=None)
@@ -631,8 +578,6 @@ class EosTable:
             "rho_grid": self.rho_grid.tolist(),
             "eint_grid": self.eint_grid.tolist(),
             "p_grid": self.p_grid.ravel().tolist(),
-            "dp_drho_grid": self.dp_drho_grid.ravel().tolist(),
-            "dp_deint_grid": self.dp_deint_grid.ravel().tolist(),
         }
         Path(path).write_text(json.dumps(payload))
 
@@ -650,8 +595,6 @@ class EosTable:
             rho_grid=np.asarray(payload["rho_grid"]),
             eint_grid=np.asarray(payload["eint_grid"]),
             p_grid=np.asarray(payload["p_grid"]).reshape(shape),
-            dp_drho_grid=np.asarray(payload["dp_drho_grid"]).reshape(shape),
-            dp_deint_grid=np.asarray(payload["dp_deint_grid"]).reshape(shape),
         )
 
 
@@ -672,7 +615,7 @@ def tabulate(
     eint_range: tuple[float, float],
     resolution: tuple[int, int] = (48, 48),
 ) -> EosTable:
-    """Tabulate P and its partials over a (rho, e_int) rectangle.
+    """Tabulate P over a (rho, e_int) rectangle.
 
     The whole rectangle must sit inside the one-phase domain, i.e. the low
     edge of eint_range must clear the T=0 floor at the high edge of rho_range.
@@ -691,8 +634,6 @@ def tabulate(
     rho_grid = np.linspace(rho_lo, rho_hi, n_rho)
     eint_grid = np.linspace(eint_lo, eint_hi, n_eint)
     p = np.empty((n_rho, n_eint))
-    dp_drho = np.empty_like(p)
-    dp_deint = np.empty_like(p)
     guess = None
     for i, rho in enumerate(rho_grid):
         row_guess = guess
@@ -703,15 +644,8 @@ def tabulate(
             if j == 0:
                 guess = lam  # warm start for the next rho row
             p[i, j] = pressure_psi(model, lam) / lam.lam4
-            dp_drho[i, j], dp_deint[i, j] = _rest_partials(model, lam, rho, eint, p[i, j])
     return EosTable(
-        d=model.d,
-        domain=model.domain,
-        rho_grid=rho_grid,
-        eint_grid=eint_grid,
-        p_grid=p,
-        dp_drho_grid=dp_drho,
-        dp_deint_grid=dp_deint,
+        d=model.d, domain=model.domain, rho_grid=rho_grid, eint_grid=eint_grid, p_grid=p
     )
 
 

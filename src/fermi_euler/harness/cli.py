@@ -1,12 +1,12 @@
 """Command-line entry point.
 
     fermi-euler <subcommand> --config <path> [--out <dir>] [--seed <u64>]
-                [--direct-eos]
 
 Subcommands: hydro-compare, entropy-track, checks, eos-table, euler-run,
 micro-run, rate-scan.  The config is a JSON file with ExperimentConfig
 fields; all tolerances are overridable under its `tolerances` section.
-Without --config, built-in defaults run (useful for `checks`).
+Without --config, built-in defaults run (useful for `checks`).  A config
+without a `table` section evaluates the pressure closure directly.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file", default=None)
         p.add_argument("--out", help="output directory (overrides config)", default=None)
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument(
-            "--direct-eos",
-            action="store_true",
-            help="bypass the tabulated closure and evaluate the EOS directly",
-        )
     return parser
 
 
@@ -52,8 +47,6 @@ def _config_from_args(args) -> ExperimentConfig:
         "seed": args.seed,
         "out_dir": args.out,
     }
-    if args.direct_eos:
-        overrides["direct_eos"] = True
     if args.config is not None:
         return load_config(args.config, overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})

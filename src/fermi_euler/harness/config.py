@@ -45,7 +45,6 @@ class ExperimentConfig:
     eos_d: int = 1
     bz_nodes: int = 4096
     table: dict | None = None
-    direct_eos: bool = False
     tolerances: dict = field(default_factory=dict)
     # kind-specific extras (rate-scan grid, micro-run snapshot flag, ...)
     extra: dict = field(default_factory=dict)
@@ -78,7 +77,8 @@ class ExperimentConfig:
         return eos.EosModel(d=self.eos_d, domain=self.eos_domain, bz_nodes=self.bz_nodes)
 
     def closure(self):
-        """Tabulated pressure closure by default, direct Newton when asked.
+        """Tabulated pressure closure when the config has a table section,
+        direct Newton evaluation without one.
 
         The table section either names a serialized table file ({"path": ...})
         or gives the ranges to tabulate inline.
@@ -86,7 +86,7 @@ class ExperimentConfig:
         from .. import eos
 
         model = self.eos_model()
-        if self.direct_eos or self.table is None:
+        if self.table is None:
             return eos.PressureClosure(model, None)
         if "path" in self.table:
             return eos.PressureClosure(model, eos.EosTable.load(self.table["path"]))

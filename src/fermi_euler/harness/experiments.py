@@ -407,18 +407,11 @@ def run_eos_table(config: ExperimentConfig, out_dir=None) -> Path:
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table.save(out / "eos_table.json")
-    rows = []
-    for i in range(0, table.rho_grid.size, max(1, table.rho_grid.size // 12)):
-        for j in range(0, table.eint_grid.size, max(1, table.eint_grid.size // 12)):
-            rows.append(
-                [
-                    float(table.rho_grid[i]),
-                    float(table.eint_grid[j]),
-                    float(table.p_grid[i, j]),
-                    float(table.dp_drho_grid[i, j]),
-                    float(table.dp_deint_grid[i, j]),
-                ]
-            )
+    si = max(1, table.rho_grid.size // 12)
+    sj = max(1, table.eint_grid.size // 12)
+    rho, eint = np.meshgrid(table.rho_grid[::si], table.eint_grid[::sj], indexing="ij")
+    columns = (rho, eint, table.p_grid[::si, ::sj], *table.partials(rho, eint))
+    rows = np.column_stack([c.ravel() for c in columns]).tolist()
     _write_csv(out / "eos_table_preview.csv", ["rho", "eint", "P", "dP_drho", "dP_deint"], rows)
     write_manifest(out, config)
     return out

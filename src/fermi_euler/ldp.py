@@ -182,30 +182,12 @@ def _coordinate_search(model, y, lo, hi, x, f_val, sweeps=60) -> float:
     return f_val
 
 
-def grad_entropy(model: EosModel, q_prime: ConservedVector) -> np.ndarray:
-    """Gradient of s in plain (rho, mom, e) coordinates: (lam0, lam_mom, -lam4)
-    at the maximizer."""
+def hessian_rate(model: EosModel, q_prime: ConservedVector) -> np.ndarray:
+    """Hessian of I in q' (independent of lam): the Hessian of s, which is
+    D (Hess psi(lam*))^-1 D at the maximizer lam*, with D = diag(1, ..., 1, -1)
+    turning the signed pairing into the plain one."""
     _, lam_star = entropy_s(model, q_prime)
-    g = lam_star.as_array()
-    g[-1] = -g[-1]
-    return g
-
-
-def hessian_rate(
-    model: EosModel, q_prime: ConservedVector, rel_step: float = 1e-4
-) -> np.ndarray:
-    """Hessian of I in q' (independent of lam), by central differences of the
-    exact dual-map gradient of s."""
-    base = q_prime.as_array()
-    n = base.size
-    H = np.zeros((n, n))
-    scale = np.maximum(np.abs(base), 1e-3 * np.max(np.abs(base)))
-    for i in range(n):
-        h = rel_step * scale[i]
-        up, dn = base.copy(), base.copy()
-        up[i] += h
-        dn[i] -= h
-        gu = grad_entropy(model, ConservedVector.from_array(up))
-        gd = grad_entropy(model, ConservedVector.from_array(dn))
-        H[:, i] = (gu - gd) / (2.0 * h)
+    D = np.ones(model.d + 2)
+    D[-1] = -1.0
+    H = D[:, None] * np.linalg.inv(eos.hessian_psi(model, lam_star)) * D
     return 0.5 * (H + H.T)

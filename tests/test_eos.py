@@ -1,7 +1,12 @@
 """Free-Fermi-gas thermodynamics: pressure, dual map, inversion, closures."""
 
+import json
+
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import expit
 
 from fermi_euler import eos
 from fermi_euler.eos import (
@@ -11,6 +16,7 @@ from fermi_euler.eos import (
     EosModel,
     EosTable,
     MultiplierVector,
+    PressureClosure,
     dual_q,
     energy_floor,
     hessian_psi,
@@ -31,6 +37,57 @@ PSI_BETA1_MU0 = 0.3052494988464314
 
 def lam_phys(beta, alpha, mu):
     return MultiplierVector.from_physical(beta, alpha, mu)
+
+
+def moving_frame_integral(lam, weight):
+    """(2*pi)^-1 * Integral weight(p, g(p)) dp over the real line by plain
+    quadrature of the boosted 1D integrand, g = lam0 + lam1 p - lam4 p^2/2;
+    independent of the rest-frame reduction in eos."""
+    lam0, lam1, lam4 = lam.lam0, float(lam.lam_mom[0]), lam.lam4
+    val, _ = integrate.quad(
+        lambda p: weight(p, lam0 + lam1 * p - 0.5 * lam4 * p * p),
+        -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200,
+    )
+    return val / (2.0 * np.pi)
+
+
+def fermi_dirac_oracle(lam):
+    """psi, the densities and the Hessian on the unbounded domain from
+    psi = (2 pi lam4)^(-d/2) F_{d/2+1}(z), F_s(z) = -Li_s(-e^z),
+    z = lam0 + |lam_mom|^2/(2 lam4), in 30-digit mpmath."""
+    d = lam.d
+    with mpmath.workdps(30):
+        b = mpmath.mpf(lam.lam4)
+        m = [mpmath.mpf(float(x)) for x in lam.lam_mom]
+        msq = sum(x * x for x in m)
+        z = lam.lam0 + msq / (2 * b)
+        h = mpmath.mpf(d) / 2
+
+        def F(s):
+            return -mpmath.re(mpmath.polylog(s, -mpmath.exp(z)))
+
+        c = (2 * mpmath.pi * b) ** -h
+        # Psi(z, b) and its partials in z and b
+        P, Pz, Pzz = c * F(h + 1), c * F(h), c * F(h - 1)
+        Pb, Pzb, Pbb = -h / b * P, -h / b * Pz, h * (h + 1) / b**2 * P
+        # chain rule through z(lam): dz = (1, m/b, -|m|^2/(2 b^2))
+        a = [mpmath.mpf(1)] + [x / b for x in m] + [-msq / (2 * b**2)]
+        n = d + 2
+        H = mpmath.matrix([[Pzz * ai * aj for aj in a] for ai in a])
+        for i in range(n):
+            H[i, n - 1] += Pzb * a[i]
+            H[n - 1, i] += Pzb * a[i]
+        H[n - 1, n - 1] += Pbb + Pz * msq / b**3
+        for i in range(d):
+            H[1 + i, 1 + i] += Pz / b
+            H[1 + i, n - 1] -= Pz * m[i] / b**2
+            H[n - 1, 1 + i] -= Pz * m[i] / b**2
+        q = [Pz] + [Pz * x / b for x in m] + [-(Pz * a[-1] + Pb)]
+        return (
+            float(P),
+            np.array([float(x) for x in q]),
+            np.array(H.tolist(), dtype=float),
+        )
 
 
 def fd_gradient(model, lam, h=1e-6):
@@ -58,11 +115,25 @@ class TestPressure:
         )
 
     def test_boost_identity(self):
-        # psi(beta, alpha, mu) = psi(beta, 0, mu + alpha^2/2), both sides by
-        # direct quadrature of the shifted integrand
-        a = pressure_psi(M1, lam_phys(2.0, 0.7, 0.3))
+        # psi(beta, alpha, mu) = psi(beta, 0, mu + alpha^2/2): the moving
+        # frame by plain quadrature of the boosted integrand, the rest frame
+        # by pressure_psi
+        a = moving_frame_integral(lam_phys(2.0, 0.7, 0.3), lambda p, g: np.logaddexp(0.0, g))
         b = pressure_psi(M1, lam_phys(2.0, 0.0, 0.3 + 0.5 * 0.7**2))
         assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize(
+        "d,beta,alpha,mu",
+        [(1, 1.7, [0.6], 0.3), (1, 3.5, [-0.8], 0.9), (1, 0.6, [0.2], -0.5),
+         (3, 1.3, [0.2, -0.4, 0.1], 0.25)],
+    )
+    def test_fermi_dirac_oracle(self, d, beta, alpha, mu):
+        model = EosModel(d=d, domain=UNBOUNDED)
+        lam = MultiplierVector.from_physical(beta, alpha, mu)
+        psi, q, H = fermi_dirac_oracle(lam)
+        assert abs(pressure_psi(model, lam) - psi) < 1e-10 * psi
+        assert np.all(np.abs(dual_q(model, lam).as_array() - q) <= 1e-10 * np.abs(q))
+        assert np.all(np.abs(hessian_psi(model, lam) - H) <= 1e-10 * np.abs(H))
 
     def test_monotone_in_lam0(self):
         vals = [pressure_psi(M1, lam_phys(1.0, 0.1, mu)) for mu in (-0.5, 0.0, 0.5, 1.0)]
@@ -242,9 +313,11 @@ class TestVirial:
             beta = rng.uniform(0.5, 3.0)
             mu = rng.uniform(-0.5, 0.5)
             a = rng.uniform(-0.8, 0.8)
-            q = dual_q(M1, lam_phys(beta, a, mu))
+            lam = lam_phys(beta, a, mu)
+            rho = moving_frame_integral(lam, lambda p, g: expit(g))
+            e = moving_frame_integral(lam, lambda p, g: 0.5 * p * p * expit(g))
             q_rest = dual_q(M1, lam_phys(beta, 0.0, mu + 0.5 * a**2))
-            assert abs(q.e - (q_rest.e + 0.5 * a**2 * q.rho)) < 1e-8
+            assert abs(e - (q_rest.e + 0.5 * a**2 * rho)) < 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -276,9 +349,9 @@ class TestTable:
         assert dpr == pytest.approx(fd_r, rel=1e-5)
         assert dpe == pytest.approx(fd_e, rel=1e-5)
 
-    def test_stored_partial_grids_match_fd_of_direct(self, table):
-        # exact thermodynamic partials frozen on the grid vs finite
-        # differences of direct evaluations
+    def test_direct_partials_match_fd_of_direct(self, table):
+        # exact thermodynamic partials of the direct closure at a table node
+        # vs finite differences of direct evaluations
         i, j = 20, 20
         rho, eint = table.rho_grid[i], table.eint_grid[j]
         h = 2e-5
@@ -288,11 +361,12 @@ class TestTable:
 
         fd_r = (direct(rho + h, eint) - direct(rho - h, eint)) / (2 * h)
         fd_e = (direct(rho, eint + h) - direct(rho, eint - h)) / (2 * h)
+        dp_drho, dp_deint = PressureClosure(M1, None).partials(rho, eint)
         # in 1D the virial identity forces P = 2 e_int, so dP/drho vanishes
         # identically and only an absolute comparison is meaningful there
-        assert table.dp_drho_grid[i, j] == pytest.approx(fd_r, rel=1e-5, abs=1e-8)
-        assert table.dp_deint_grid[i, j] == pytest.approx(fd_e, rel=1e-5)
-        assert table.dp_deint_grid[i, j] == pytest.approx(2.0, abs=1e-9)
+        assert dp_drho == pytest.approx(fd_r, rel=1e-5, abs=1e-8)
+        assert dp_deint == pytest.approx(fd_e, rel=1e-5)
+        assert dp_deint == pytest.approx(2.0, abs=1e-9)
 
     def test_floor_violation_rejected(self):
         with pytest.raises(OutOfDomain):
@@ -334,5 +408,10 @@ class TestTable:
         table.save(path)
         back = EosTable.load(path)
         assert np.array_equal(back.p_grid, table.p_grid)
+        # a version-1 file that still carries the old partial grids loads too
+        payload = json.loads(path.read_text())
+        payload["dp_drho_grid"] = payload["dp_deint_grid"] = payload["p_grid"]
+        path.write_text(json.dumps(payload))
+        assert np.array_equal(EosTable.load(path).p_grid, table.p_grid)
         assert np.array_equal(back.rho_grid, table.rho_grid)
         assert back.pressure(0.3, 0.15) == pytest.approx(table.pressure(0.3, 0.15), abs=1e-14)

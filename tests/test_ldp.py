@@ -79,6 +79,27 @@ class TestRate:
         rate = ldp.rate_I(M1, qp, lam).rate
         assert rate == pytest.approx(0.5 * delta**2 * H[0, 0], rel=0.1)
 
+    @pytest.mark.parametrize("beta,alpha,mu", [(1.0, 0.0, 0.0), (1.8, 0.3, 0.4)])
+    def test_hessian_matches_fd_of_maximizer(self, beta, alpha, mu):
+        # central differences of the gradient of s, (lam0, lam_mom, -lam4) at
+        # the maximizer, against the exact D (Hess psi)^-1 D
+        q = eos.dual_q(M1, lam_phys(beta, alpha, mu))
+        base = q.as_array()
+        scale = np.maximum(np.abs(base), 1e-3 * np.max(np.abs(base)))
+        fd = np.zeros((base.size, base.size))
+        for i in range(base.size):
+            h = 1e-4 * scale[i]
+            grads = []
+            for sign in (1.0, -1.0):
+                arr = base.copy()
+                arr[i] += sign * h
+                g = ldp.entropy_s(M1, ConservedVector.from_array(arr))[1].as_array()
+                g[-1] = -g[-1]
+                grads.append(g)
+            fd[:, i] = (grads[0] - grads[1]) / (2.0 * h)
+        H = ldp.hessian_rate(M1, q)
+        assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+
     def test_hessian_positive_definite(self):
         lam = lam_phys(1.0, 0.0, 0.0)
         q = eos.dual_q(M1, lam)
