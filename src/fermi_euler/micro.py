@@ -1,27 +1,38 @@
 """Exact microscopic side: quasi-free fermions on a 1D periodic lattice.
 
 A quasi-free state on L sites is fully described by its correlation matrix
-C(x, y) = <a+_y a_x>.  Everything here is built around the spectral (Fourier)
-representation: momenta p_k = 2*pi*k/L mapped to (-pi, pi] with the Nyquist
-mode assigned to +pi, single-particle dispersion p^2/2, and observables given
-by Hermitian momentum-space symbols
+C(x, y) = <a+_y a_x>.  The free dynamics is diagonal in momentum, so the
+module computes only in the momentum representation: a state holds
+
+    Chat = W C W+,   W[k, x] = exp(-2 pi i k x / L) / sqrt(L),
+
+with momenta p_k = 2*pi*k/L mapped to (-pi, pi] (Nyquist mode at +pi) and
+dispersion eps_k = p_k^2/2.  Position-space C is derived on demand, for the
+snapshot writer and the dense test oracles only.
+
+Observables are Hermitian momentum-space symbols,
 
     <O_x> = (1/L) sum_{k,q} S(k, q) Chat[k, q] exp(i (p_k - p_q) x),
 
 with S = 1 for particle density, (p_k+p_q)/2 for momentum density,
 p_k p_q / 2 for kinetic-energy density, and the current symbols listed in
-`currents`.  With spectral derivatives the free continuity equations hold to
-round-off, which is what makes every identity check in the test suite sharp.
+`currents`.  Each field is the sum of S * Chat over the wrapped diagonals
+q - k = j (mod L), then one 1D FFT over j.  With spectral derivatives the
+free continuity equations hold to round-off, which is what makes every
+identity check in the test suite sharp.
 
 Local Gibbs states carry slowly varying multiplier fields: the one-particle
-exponent is K = L0 + (L1 P + P L1)/2 - D+ L4 D / 2 with L^mu = diag(lam^mu)
-and C = (1 + exp(-K))^-1.  Time evolution is the exact conjugation by
-exp(-i t h1) with h1 = -Laplacian/2 (sign pinned by the drift check in the
+exponent is K = L0 + (L1 P + P L1)/2 - D+ L4 D / 2 with L^mu = diag(lam^mu),
+built directly as Khat from the Fourier coefficients of the three fields,
+and Chat = (1 + exp(-Khat))^-1.  Time evolution is the exact conjugation by
+exp(-i t h1), h1 = -Laplacian/2, an elementwise phase
+e^{-i t eps_k} e^{+i t eps_q} on Chat (sign pinned by the drift check in the
 tests: a state of positive momentum drifts toward larger x).
 
 Also here: the smooth high-momentum cutoff filter, the partition-of-unity
-coarse-graining window, the quasi-free relative entropy and its production
-rate along the evolution, and the cutoff/moment assumption checks.
+coarse-graining window, the quasi-free relative entropy (in closed form
+against a local Gibbs reference) and its production rate along the
+evolution, and the cutoff/moment assumption checks.
 """
 
 from __future__ import annotations
@@ -33,7 +44,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import eigh
+from scipy.linalg.blas import zherk
+from scipy.special import expit
 
 from .eos import brillouin_momenta
 from .errors import (
@@ -89,16 +103,12 @@ class Lattice:
         return 0.5 * self.momenta**2
 
     @cached_property
-    def momentum_op(self) -> np.ndarray:
-        """Dense Hermitian momentum operator W+ diag(p) W."""
-        w = self._dft
-        return (w.conj().T * self.momenta) @ w
-
-    @cached_property
-    def _dft(self) -> np.ndarray:
-        """Unitary DFT matrix W[k, x] = exp(-2 pi i k x / L) / sqrt(L)."""
-        k = np.arange(self.L)
-        return np.exp(-2j * np.pi * np.outer(k, k) / self.L) / np.sqrt(self.L)
+    def partner_momenta(self) -> np.ndarray:
+        """Read-only view Q[k, j] = p_{(k + j) mod L}: the momentum q that k
+        meets on the wrapped diagonal q - k = j (no L x L copy)."""
+        p2 = np.concatenate((self.momenta, self.momenta))
+        step = p2.strides[0]
+        return as_strided(p2, shape=(self.L, self.L), strides=(step, step), writeable=False)
 
 
 def to_momentum(c: np.ndarray) -> np.ndarray:
@@ -111,18 +121,70 @@ def to_position(chat: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(chat, axis=1), axis=0)
 
 
-def _field_from_symbol(weighted: np.ndarray) -> np.ndarray:
-    """Per-site field (1/L) sum_{kq} B[k,q] e^{i(p_k - p_q) x} for
-    B = symbol * Chat (already weighted)."""
-    return np.einsum("xx->x", np.fft.ifft(np.fft.fft(weighted, axis=1), axis=0))
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Read-only view M[k, q] = c[(k - q) mod L] (no L x L copy)."""
+    L = c.size
+    ext = np.concatenate((c[::-1], c[:0:-1]))  # ext[i] = c[(L - 1 - i) mod L]
+    step = ext.strides[0]
+    return as_strided(ext[L - 1:], shape=(L, L), strides=(-step, step), writeable=False)
+
+
+def _skew(chat: np.ndarray) -> np.ndarray:
+    """S[k, j] = chat[k, (k + j) mod L]: row k rotated left by k, so column j
+    holds the wrapped diagonal q - k = j."""
+    L = chat.shape[0]
+    out = np.empty_like(chat)
+    for k in range(L):
+        out[k, : L - k] = chat[k, k:]
+        out[k, L - k:] = chat[k, :k]
+    return out
+
+
+def _site_field(diagonal_sums: np.ndarray) -> np.ndarray:
+    """Per-site field (1/L) sum_j E[j] e^{-2 pi i j x / L} from the sums E[j]
+    of symbol * Chat over the wrapped diagonals q - k = j."""
+    return _real_field(np.fft.fft(diagonal_sums) / diagonal_sums.size)
 
 
 def _real_field(values: np.ndarray) -> np.ndarray:
     """Hermitian symbols on Hermitian states give real fields; enforce it."""
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        raise NonFinite(f"field is not finite at site {int(np.argmin(finite))}")
     imag = float(np.max(np.abs(values.imag)))
     if imag > 1e-10:
         raise ValueError(f"field imaginary part {imag:.3e} exceeds 1e-10")
     return values.real
+
+
+def _require_finite(mat: np.ndarray, name: str) -> None:
+    finite = np.isfinite(mat)
+    if not np.all(finite):
+        i, j = np.argwhere(~finite)[0]
+        raise NonFinite(f"{name} is not finite at entry ({i}, {j})")
+
+
+def _gram(w: np.ndarray) -> np.ndarray:
+    """w w+ from one Hermitian rank-k update (half the flops of a GEMM),
+    mirrored from its lower triangle, so exactly Hermitian."""
+    low = zherk(1.0, w, lower=1)
+    full = low + low.conj().T
+    full.flat[:: w.shape[0] + 1] = low.diagonal().real
+    return full
+
+
+def _xlogx(v: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(v)
+    pos = v > 0.0
+    out[pos] = v[pos] * np.log(v[pos])
+    return out
+
+
+def _mode_entropy(kappa: np.ndarray) -> float:
+    """sum_j -n log n - (1 - n) log(1 - n) at n = 1/(1 + e^{-kappa_j});
+    each term is even in kappa, evaluated without cancellation."""
+    a = np.abs(kappa)
+    return float(np.sum(np.log1p(np.exp(-a)) + a * expit(-a)))
 
 
 def spectral_derivative(field_values: np.ndarray, lattice: Lattice, order: int = 1) -> np.ndarray:
@@ -138,38 +200,72 @@ def spectral_derivative(field_values: np.ndarray, lattice: Lattice, order: int =
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Quasi-free state: Hermitian correlation matrix C(x, y) = <a+_y a_x>."""
+    """Quasi-free state held by its momentum-space correlation matrix
+    Chat = W C W+, with C(x, y) = <a+_y a_x>.
+
+    `s_vn` is the von Neumann entropy when it is known exactly: from the
+    exponent's spectrum for a Gibbs state, carried unchanged through the
+    unitary maps `evolve` and `boost`; None otherwise.
+    """
 
     lattice: Lattice
-    C: np.ndarray
+    chat: np.ndarray
+    s_vn: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.C, dtype=complex)
+        c = np.asarray(self.chat, dtype=complex)
         if c.shape != (self.lattice.L, self.lattice.L):
             raise ValueError("correlation matrix shape mismatch")
+        _require_finite(c, "Chat")
         herm_gap = np.max(np.abs(c - c.conj().T))
         if herm_gap > HERM_TOL:
             raise ValueError(f"correlation matrix not Hermitian ({herm_gap:.2e})")
-        object.__setattr__(self, "C", 0.5 * (c + c.conj().T))
+        object.__setattr__(self, "chat", 0.5 * (c + c.conj().T))
+
+    @classmethod
+    def from_position(cls, lattice: Lattice, c: np.ndarray) -> "GaussianState":
+        """State of a position-space correlation matrix C(x, y)."""
+        c = np.asarray(c, dtype=complex)
+        _require_finite(c, "C")
+        return cls(lattice, to_momentum(c))
+
+    @classmethod
+    def _exact(cls, lattice: Lattice, chat: np.ndarray, s_vn: float | None = None):
+        """State of a Chat that is finite, and Hermitian up to round-off, by
+        construction (a Gibbs build, or a unitary or filter image of a
+        checked state): skips the O(L^2) checks of the public constructor."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "lattice", lattice)
+        object.__setattr__(state, "chat", chat)
+        object.__setattr__(state, "s_vn", s_vn)
+        return state
 
     @property
     def L(self) -> int:
         return self.lattice.L
 
     @cached_property
-    def chat(self) -> np.ndarray:
-        return to_momentum(self.C)
+    def C(self) -> np.ndarray:
+        """Position-space C = W+ Chat W, for snapshots and dense oracles."""
+        return to_position(self.chat)
 
     @property
     def total_number(self) -> float:
-        return float(np.trace(self.C).real)
+        return float(np.trace(self.chat).real)
 
     def occupations(self) -> np.ndarray:
         """Momentum-mode occupations N_k (FFT index order)."""
         return np.einsum("kk->k", self.chat).real
 
+    def vn_entropy(self) -> float:
+        """-tr[C log C + (1 - C) log(1 - C)], from `s_vn` when known."""
+        if self.s_vn is not None:
+            return self.s_vn
+        vals = np.clip(eigh(self.chat, eigvals_only=True), 0.0, 1.0)
+        return float(-np.sum(_xlogx(vals) + _xlogx(1.0 - vals)))
+
     def validate(self, tol: float = SPECTRUM_TOL) -> None:
-        vals = eigh(self.C, eigvals_only=True)
+        vals = eigh(self.chat, eigvals_only=True)
         if vals.min() < -tol or vals.max() > 1.0 + tol:
             raise ValueError(
                 f"spectrum [{vals.min():.3e}, {vals.max():.3e}] outside [0, 1]"
@@ -247,43 +343,54 @@ class CurrentTensor:
 
 
 def gibbs_exponent(lam_field: MultiplierField) -> np.ndarray:
-    """One-particle exponent K = L0 + (L1 P + P L1)/2 - D+ L4 D / 2.
+    """Momentum-space one-particle exponent Khat = W K W+ of
+    K = L0 + (L1 P + P L1)/2 - D+ L4 D / 2, where D+ L4 D = P L4 P since
+    D = i P for the spectral derivative:
 
-    D+ L4 D = P L4 P since D = i P for the spectral derivative, so for
-    constant multipliers K is diagonal in momentum with symbol
+        Khat[k, q] = lam0hat[k-q] + lam1hat[k-q] (p_k + p_q) / 2
+                     - p_k p_q lam4hat[k-q] / 2,
+
+    with lamhat[m] = (1/L) sum_x lam(x) e^{-2 pi i m x / L} and k - q taken
+    mod L.  For constant multipliers Khat is diagonal with symbol
     lam0 + lam1 p - lam4 p^2 / 2.
     """
-    lat = lam_field.lattice
-    p_op = lat.momentum_op
-    k = np.diag(lam_field.lam0).astype(complex)
-    k += 0.5 * (lam_field.lam1[:, None] * p_op + p_op * lam_field.lam1[None, :])
-    k -= 0.5 * (p_op @ (lam_field.lam4[:, None] * p_op))
-    return 0.5 * (k + k.conj().T)
+    p = lam_field.lattice.momenta
+    lam0, lam1, lam4 = (
+        _circulant(np.fft.fft(f) / f.size)
+        for f in (lam_field.lam0, lam_field.lam1, lam_field.lam4)
+    )
+    khat = lam4 * (-0.5 * p)
+    khat += 0.5 * lam1
+    khat *= p[:, None]
+    khat += lam1 * (0.5 * p)
+    khat += lam0
+    return khat
 
 
 def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianState:
-    """Quasi-free local Gibbs state C = (1 + exp(-K))^-1."""
+    """Quasi-free local Gibbs state Chat = (1 + exp(-Khat))^-1, with its
+    entropy from the spectrum of Khat."""
     if lam_field.lattice.L != lattice.L:
         raise ValueError("multiplier field lives on a different lattice")
-    k = gibbs_exponent(lam_field)
-    vals, vecs = eigh(k)
-    occ = 1.0 / (1.0 + np.exp(-vals))
-    c = (vecs * occ) @ vecs.conj().T
-    return GaussianState(lattice=lattice, C=c)
+    kappa, vecs = eigh(gibbs_exponent(lam_field), overwrite_a=True, check_finite=False)
+    chat = _gram(vecs * np.sqrt(expit(kappa)))
+    return GaussianState._exact(lattice, chat, _mode_entropy(kappa))
 
 
 def evolve(state: GaussianState, t: float) -> GaussianState:
-    """Free evolution C(t) = e^{-i t h1} C e^{+i t h1}, exact in the momentum
-    eigenbasis of h1 = -Laplacian/2 (no time-stepping error).
+    """Free evolution C(t) = e^{-i t h1} C e^{+i t h1}: in the momentum
+    eigenbasis of h1 = -Laplacian/2 the phase e^{-i t eps_k} e^{+i t eps_q}
+    on Chat, exact (no time-stepping error).
 
     The sign makes positive-momentum states drift toward larger x, which is
     the convention the drift test pins down.
     """
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    eps = state.lattice.dispersion
-    phases = np.exp(-1j * t * (eps[:, None] - eps[None, :]))
-    return GaussianState(state.lattice, to_position(phases * state.chat))
+    phase = np.exp(-1j * t * state.lattice.dispersion)
+    chat = phase[:, None] * state.chat
+    chat *= phase.conj()
+    return GaussianState._exact(state.lattice, chat, state.s_vn)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +398,30 @@ def evolve(state: GaussianState, t: float) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 
+def _density_fields(lattice: Lattice, chat: np.ndarray) -> DensityFields:
+    """(n, p, h) of a Hermitian Chat: symbols 1, (p_k + p_q)/2, p_k p_q / 2
+    summed over the wrapped diagonals q = k + j."""
+    p = lattice.momenta
+    diag = _skew(chat)
+    p_q = lattice.partner_momenta * diag
+    return DensityFields(
+        n=_site_field(diag.sum(axis=0)),
+        p=_site_field(0.5 * (p @ diag + p_q.sum(axis=0))),
+        h=_site_field(0.5 * (p @ p_q)),
+    )
+
+
 def densities(state: GaussianState) -> DensityFields:
     """Conserved densities; with spectral operators the continuity equations
     against `currents` hold to round-off."""
-    p = state.lattice.momenta
-    chat = state.chat
-    n = np.einsum("xx->x", state.C).real
-    sym_p = 0.5 * (p[:, None] + p[None, :])
-    p_field = _real_field(_field_from_symbol(sym_p * chat))
-    sym_h = 0.5 * np.outer(p, p)
-    h_field = _real_field(_field_from_symbol(sym_h * chat))
-    return DensityFields(n=n, p=p_field, h=h_field)
+    return _density_fields(state.lattice, state.chat)
+
+
+def densities_rate(state: GaussianState) -> DensityFields:
+    """Exact micro-time derivative of `densities` under `evolve`: the fields
+    of the generator d/dt Chat = -i (eps_k - eps_q) Chat."""
+    eps = state.lattice.dispersion
+    return _density_fields(state.lattice, -1j * (eps[:, None] - eps[None, :]) * state.chat)
 
 
 def currents(state: GaussianState, cutoff: "MomentumCutoff | None" = None) -> CurrentTensor:
@@ -318,23 +438,21 @@ def currents(state: GaussianState, cutoff: "MomentumCutoff | None" = None) -> Cu
         state = cutoff.smear(state)
     lat = state.lattice
     p = lat.momenta
-    chat = state.chat
-    sym_w0 = 0.5 * (p[:, None] + p[None, :])
-    w0 = _real_field(_field_from_symbol(sym_w0 * chat))
-    n = np.einsum("xx->x", state.C).real
-    sym_w1 = np.outer(p, p)
-    w1 = _real_field(_field_from_symbol(sym_w1 * chat)) - 0.25 * spectral_derivative(n, lat, order=2)
-    sym_w4 = 0.25 * np.outer(p, p) * (p[:, None] + p[None, :])
-    w4 = _real_field(_field_from_symbol(sym_w4 * chat))
+    diag = _skew(state.chat)
+    p_q = lat.partner_momenta * diag
+    n = _site_field(diag.sum(axis=0))
+    w0 = _site_field(0.5 * (p @ diag + p_q.sum(axis=0)))
+    w1 = _site_field(p @ p_q) - 0.25 * spectral_derivative(n, lat, order=2)
+    w4 = _site_field(0.25 * (p**2 @ p_q + p @ (lat.partner_momenta * p_q)))
     return CurrentTensor(w0=w0, w1=w1, w4=w4)
 
 
 def boost(state: GaussianState, n_modes: int) -> GaussianState:
-    """Multiply C by phases e^{i s (x - y)} with s = 2 pi n_modes / L: the
-    lattice version of the velocity-boost automorphism."""
-    s = 2.0 * np.pi * n_modes / state.L
-    phase = np.exp(1j * s * state.lattice.sites)
-    return GaussianState(state.lattice, phase[:, None] * state.C * phase.conj()[None, :])
+    """Multiply C by phases e^{i s (x - y)} with s = 2 pi n_modes / L, the
+    lattice version of the velocity-boost automorphism: in momentum, the
+    cyclic shift Chat[k, q] -> Chat[k - n_modes, q - n_modes]."""
+    chat = np.roll(state.chat, (n_modes, n_modes), axis=(0, 1))
+    return GaussianState._exact(state.lattice, chat, state.s_vn)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +485,7 @@ class MomentumCutoff:
         """C_M = Phi C Phi+ with the contraction-normalized transfer: the
         smeared matrix is again a valid correlation matrix."""
         t = self.transfer / self.operator_scale
-        chat = t[:, None] * state.chat * t[None, :]
-        return GaussianState(state.lattice, to_position(chat))
+        return GaussianState._exact(state.lattice, t[:, None] * state.chat * t)
 
 
 def momentum_cutoff(lattice: Lattice, M: float) -> MomentumCutoff:
@@ -458,20 +575,38 @@ def coarse_grain(fields, ell: int, lattice: Lattice):
 # ---------------------------------------------------------------------------
 
 
-def rel_entropy_gaussian(gamma: GaussianState, omega: GaussianState) -> tuple[float, float]:
-    """Relative entropy between quasi-free states from their correlation
-    matrices,
+def rel_entropy_gaussian(
+    gamma: GaussianState, omega: GaussianState | MultiplierField
+) -> tuple[float, float]:
+    """Relative entropy S(gamma | omega) between quasi-free states, returned
+    as (total, per-site density).
+
+    When omega is a MultiplierField, the reference is its local Gibbs state
+    exp(a+ K a)/Z, evaluated in closed form without building it:
+
+        S = -S_vN(gamma) - tr(Chat_gamma Khat) + sum_j log(1 + e^{kappa_j}),
+
+    with kappa the spectrum of Khat and S_vN(gamma) from `vn_entropy` (exact
+    for an evolved Gibbs state).  When omega is a state, both spectra are
+    used:
 
         S = tr[Cg (log Cg - log Cw)] + tr[(1-Cg)(log(1-Cg) - log(1-Cw))],
 
-    returned as (total, per-site density).  Identical states give exactly 0.
+    with the reference spectrum clamped to [1e-12, 1 - 1e-12] before the logs.
+    Identical states give exactly 0.
     """
-    if gamma.L != omega.L:
+    if gamma.L != omega.lattice.L:
         raise ValueError("states live on different lattices")
-    if gamma is omega or gamma.C is omega.C:
+    if isinstance(omega, MultiplierField):
+        khat = gibbs_exponent(omega)
+        cross = float(np.vdot(khat, gamma.chat).real)
+        kappa = eigh(khat, eigvals_only=True, overwrite_a=True, check_finite=False)
+        total = float(np.sum(np.logaddexp(0.0, kappa))) - cross - gamma.vn_entropy()
+        return total, total / gamma.L
+    if gamma is omega or gamma.chat is omega.chat:
         return 0.0, 0.0
-    vg, wg = eigh(gamma.C)
-    vw, ww = eigh(omega.C)
+    vg, wg = eigh(gamma.chat)
+    vw, ww = eigh(omega.chat)
     if np.min(vw) < -1e-8 or np.max(vw) > 1.0 + 1e-8:
         raise SingularReference("reference correlation spectrum outside [0, 1]")
     vg = np.clip(vg, 0.0, 1.0)
@@ -482,14 +617,8 @@ def rel_entropy_gaussian(gamma: GaussianState, omega: GaussianState) -> tuple[fl
                      clip_mass, EIG_CLIP, EIG_CLIP)
     vw = clipped
 
-    def xlogx(v):
-        out = np.zeros_like(v)
-        pos = v > 0.0
-        out[pos] = v[pos] * np.log(v[pos])
-        return out
-
     # tr f(Cg) terms in the gamma eigenbasis
-    s_gamma = float(np.sum(xlogx(vg) + xlogx(1.0 - vg)))
+    s_gamma = float(np.sum(_xlogx(vg) + _xlogx(1.0 - vg)))
     # cross terms tr[Cg log Cw] + tr[(1-Cg) log(1-Cw)] via the overlap matrix
     overlap = np.abs(wg.conj().T @ ww) ** 2
     cross = float(vg @ overlap @ np.log(vw) + (1.0 - vg) @ overlap @ np.log(1.0 - vw))
@@ -508,24 +637,26 @@ def entropy_production(
 
         dS/dt = tr(C_gamma (-i[h1, K_t] - dK_t/dt)) + tr(dK_t/dt C_omega).
 
+    In the momentum basis h1 is diagonal, so the commutator is the
+    elementwise (eps_k - eps_q) Khat_t and every trace is an elementwise sum.
     dK/dt uses centered differences with macroscopic step dt_macro (the one
     inexact ingredient; everything else is evaluated in closed form).  The
     commutator sign matches the drift-pinned evolution convention.
     """
     lat = gamma.lattice
-    eps = lat.epsilon
     k_now = gibbs_exponent(lam_field_of_t(t))
-    dt_micro = dt_macro / eps
+    dt_micro = dt_macro / lat.epsilon
     k_plus = gibbs_exponent(lam_field_of_t(t + dt_micro))
     k_minus = gibbs_exponent(lam_field_of_t(t - dt_micro))
     dk_dt = (k_plus - k_minus) / (2.0 * dt_micro)
 
-    h1 = (lat._dft.conj().T * lat.dispersion) @ lat._dft
-    comm = h1 @ k_now - k_now @ h1
-    vals, vecs = eigh(k_now)
-    c_omega = (vecs * (1.0 / (1.0 + np.exp(-vals)))) @ vecs.conj().T
-    term_gamma = np.trace((-1j * comm - dk_dt) @ gamma.C)
-    term_norm = np.trace(dk_dt @ c_omega)
+    eps = lat.dispersion
+    comm = (eps[:, None] - eps[None, :]) * k_now
+    # tr(A B) = sum_kq conj(A_kq) B_kq for Hermitian A
+    term_gamma = np.vdot(-1j * comm - dk_dt, gamma.chat)
+    vals, vecs = eigh(k_now, overwrite_a=True, check_finite=False)
+    c_omega = _gram(vecs * np.sqrt(expit(vals)))
+    term_norm = np.vdot(dk_dt, c_omega)
     return float(np.real(term_gamma + term_norm))
 
 
@@ -632,7 +763,7 @@ def load_state(path) -> tuple[GaussianState, float]:
     iu = np.triu_indices(L)
     c[iu] = packed
     c = c + np.triu(c, 1).conj().T
-    return GaussianState(Lattice(int(L)), c), float(t)
+    return GaussianState.from_position(Lattice(int(L)), c), float(t)
 
 
 def fields_to_csv(path, lattice: Lattice, dens: DensityFields, cur: CurrentTensor) -> None:

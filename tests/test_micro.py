@@ -1,9 +1,12 @@
 """Quasi-free lattice states: construction, dynamics, currents, windows."""
 
+import struct
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from fermi_euler import entropy, eos
+from fermi_euler import entropy, eos, micro
 from fermi_euler.errors import (
     BadWindow,
     CutoffTooLarge,
@@ -21,6 +24,7 @@ from fermi_euler.micro import (
     coarse_grain,
     currents,
     densities,
+    densities_rate,
     entropy_production,
     evolve,
     fields_to_csv,
@@ -56,10 +60,35 @@ def rms(arr):
     return float(np.sqrt(np.mean(np.asarray(arr) ** 2)))
 
 
+def dft_matrix(L):
+    """Unitary DFT matrix W[k, x] = exp(-2 pi i k x / L) / sqrt(L)."""
+    k = np.arange(L)
+    return np.exp(-2j * np.pi * np.outer(k, k) / L) / np.sqrt(L)
+
+
+def dense_momentum_op(L):
+    """Position-space momentum operator W+ diag(p) W."""
+    w = dft_matrix(L)
+    return (w.conj().T * Lattice(L).momenta) @ w
+
+
+def dense_exponent(lf):
+    """Position-space K = L0 + (L1 P + P L1)/2 - P L4 P / 2 by dense products."""
+    p_op = dense_momentum_op(lf.lattice.L)
+    k = np.diag(lf.lam0).astype(complex)
+    k += 0.5 * (lf.lam1[:, None] * p_op + p_op * lf.lam1[None, :])
+    k -= 0.5 * (p_op @ (lf.lam4[:, None] * p_op))
+    return 0.5 * (k + k.conj().T)
+
+
+def fft_diagonal_field(symbol, chat):
+    """Old readout: the diagonal of the position-space image of symbol * Chat."""
+    return np.einsum("xx->x", np.fft.ifft(np.fft.fft(symbol * chat, axis=1), axis=0)).real
+
+
 class TestTransforms:
     def test_against_dense_dft(self, rng):
-        lat = Lattice(8)
-        w = lat._dft
+        w = dft_matrix(8)
         c = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         c = c @ c.conj().T
         assert np.max(np.abs(to_momentum(c) - w @ c @ w.conj().T)) < 1e-13
@@ -115,10 +144,58 @@ class TestGibbs:
             lam4=1.0 + 0.3 * rng.random(5),
         )
         st = gibbs_gaussian(lat, lf)
-        oracle = entropy.fock_oracle_gaussian(5, gibbs_exponent(lf))
+        oracle = entropy.fock_oracle_gaussian(5, to_position(gibbs_exponent(lf)))
         c_fock = entropy.correlation_matrix(oracle, 5)
         assert np.max(np.abs(c_fock - st.C)) < 1e-12
 
+
+    @pytest.mark.parametrize("L", [64, 63])
+    def test_exponent_against_dense_conjugation(self, L):
+        lat = Lattice(L)
+        lf = smooth_field(lat, seed=7, amp=0.3)
+        w = dft_matrix(L)
+        oracle = w @ dense_exponent(lf) @ w.conj().T
+        assert np.max(np.abs(gibbs_exponent(lf) - oracle)) < 1e-12
+
+    def test_exponent_of_constant_field_is_diagonal_symbol(self):
+        lat = Lattice(32)
+        beta, alpha, mu = 2.0, 0.4, 0.1
+        khat = gibbs_exponent(MultiplierField.constant(lat, beta, alpha, mu))
+        p = lat.momenta
+        symbol = beta * mu + beta * alpha * p - 0.5 * beta * p**2
+        assert np.max(np.abs(khat - np.diag(symbol))) < 1e-14
+
+    def test_entropy_from_exponent_spectrum(self):
+        lat = Lattice(64)
+        st = gibbs_gaussian(lat, smooth_field(lat, seed=8))
+        vals = np.clip(np.linalg.eigvalsh(st.C), 1e-300, 1.0 - 1e-16)
+        dense = -np.sum(vals * np.log(vals) + (1 - vals) * np.log1p(-vals))
+        assert st.s_vn == pytest.approx(dense, abs=1e-11)
+        assert evolve(st, 2.0).s_vn == st.s_vn
+
+    def test_nan_state_names_entry(self):
+        lat = Lattice(16)
+        chat = gibbs_gaussian(lat, smooth_field(lat, seed=1)).chat.copy()
+        chat[3, 11] = np.nan
+        with pytest.raises(NonFinite, match=r"Chat is not finite at entry \(3, 11\)"):
+            GaussianState(lat, chat)
+        c = np.eye(16, dtype=complex) * 0.5
+        c[5, 2] = np.inf
+        with pytest.raises(NonFinite, match=r"C is not finite at entry \(5, 2\)"):
+            GaussianState.from_position(lat, c)
+
+    def test_nan_field_names_site(self):
+        lat = Lattice(16)
+        chat = gibbs_gaussian(lat, smooth_field(lat, seed=1)).chat.copy()
+        chat[4, 4] = np.nan
+        # a state that got past the constructor's checks
+        poisoned = GaussianState._exact(lat, chat)
+        with pytest.raises(NonFinite, match="field is not finite at site 0"):
+            densities(poisoned)
+        values = np.ones(16, dtype=complex)
+        values[6] = np.nan
+        with pytest.raises(NonFinite, match="field is not finite at site 6"):
+            micro._real_field(values)
 
 class TestEvolve:
     def test_homogeneous_gibbs_stationary(self):
@@ -132,7 +209,7 @@ class TestEvolve:
         x = lat.sites.astype(float)
         phi = np.exp(-0.5 * ((x - 40) / 6) ** 2) * np.exp(1j * 0.8 * x)
         phi /= np.linalg.norm(phi)
-        st = GaussianState(lat, np.outer(phi, phi.conj()))
+        st = GaussianState.from_position(lat, np.outer(phi, phi.conj()))
         d0, d1 = densities(st), densities(evolve(st, 2.0))
         com0 = (x * d0.n).sum() / d0.n.sum()
         com1 = (x * d1.n).sum() / d1.n.sum()
@@ -157,6 +234,25 @@ class TestEvolve:
             assert np.max(np.abs(np.array(densities(st).totals()) -
                                  np.array(densities(ev).totals()))) < 1e-10
 
+
+    def test_against_dense_propagator(self):
+        lat = Lattice(48)
+        st = gibbs_gaussian(lat, smooth_field(lat, seed=9, amp=0.3))
+        w = dft_matrix(48)
+        h1 = (w.conj().T * lat.dispersion) @ w
+        for t in (0.7, -2.3, 11.0):
+            u = expm(-1j * t * h1)
+            oracle = u @ st.C @ u.conj().T
+            assert np.max(np.abs(evolve(st, t).C - oracle)) < 1e-13
+
+    def test_rate_matches_centered_difference(self):
+        lat = Lattice(128)
+        st = gibbs_gaussian(lat, smooth_field(lat, seed=4))
+        h = 1e-4
+        fd = (densities(evolve(st, h)).stack() - densities(evolve(st, -h)).stack()) / (2 * h)
+        exact = densities_rate(st).stack()
+        assert np.max(np.abs(exact - fd)) < 1e-8
+        assert np.max(np.abs(exact)) > 1e-4
 
 class TestDensitiesCurrents:
     def test_homogeneous_match_eos(self):
@@ -255,6 +351,33 @@ class TestDensitiesCurrents:
         assert abs((eb - e0) - (s * p0 + 0.5 * s**2 * n0)) < 1e-9
 
 
+    def test_fields_against_2d_fft_diagonal(self, rng):
+        lat = Lattice(64)
+        g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        st = GaussianState(lat, 0.01 * (g + g.conj().T))
+        p = lat.momenta
+        pk, pq = p[:, None], p[None, :]
+        d, c = densities(st), currents(st)
+        oracle = {
+            "n": fft_diagonal_field(np.ones((64, 64)), st.chat),
+            "p": fft_diagonal_field(0.5 * (pk + pq), st.chat),
+            "h": fft_diagonal_field(0.5 * pk * pq, st.chat),
+            "w1": fft_diagonal_field(pk * pq, st.chat)
+            - 0.25 * spectral_derivative(np.einsum("xx->x", st.C).real, lat, order=2),
+            "w4": fft_diagonal_field(0.25 * pk * pq * (pk + pq), st.chat),
+        }
+        got = {"n": d.n, "p": d.p, "h": d.h, "w1": c.w1, "w4": c.w4}
+        for name, want in oracle.items():
+            assert np.max(np.abs(got[name] - want)) < 1e-13, name
+        assert np.max(np.abs(c.w0 - d.p)) < 1e-15
+
+    def test_boost_against_position_phases(self):
+        lat = Lattice(64)
+        st = gibbs_gaussian(lat, smooth_field(lat, seed=2))
+        phase = np.exp(1j * 2 * np.pi * 5 * lat.sites / 64)
+        oracle = phase[:, None] * st.C * phase.conj()[None, :]
+        assert np.max(np.abs(boost(st, 5).C - oracle)) < 1e-14
+
 class TestCutoff:
     def test_properties_at_m2(self):
         lat = Lattice(1024)
@@ -342,8 +465,8 @@ class TestRelEntropy:
             )
             s_gauss, _ = rel_entropy_gaussian(gibbs_gaussian(lat, lf1), gibbs_gaussian(lat, lf2))
             s_fock = entropy.rel_entropy_dm(
-                entropy.fock_oracle_gaussian(4, gibbs_exponent(lf1)),
-                entropy.fock_oracle_gaussian(4, gibbs_exponent(lf2)),
+                entropy.fock_oracle_gaussian(4, to_position(gibbs_exponent(lf1))),
+                entropy.fock_oracle_gaussian(4, to_position(gibbs_exponent(lf2))),
             )
             assert abs(s_gauss - s_fock) < 1e-8
 
@@ -355,6 +478,45 @@ class TestRelEntropy:
             s, _ = rel_entropy_gaussian(a, b)
             assert s >= -1e-10
 
+
+    def test_gibbs_reference_matches_two_spectrum_form(self):
+        lat = Lattice(96)
+        g0 = gibbs_gaussian(lat, smooth_field(lat, seed=3))
+        lf = smooth_field(lat, seed=30)
+        for t in (0.0, 1.5, 6.0):
+            gamma = evolve(g0, t)
+            closed, per_site = rel_entropy_gaussian(gamma, lf)
+            dense, _ = rel_entropy_gaussian(gamma, gibbs_gaussian(lat, lf))
+            assert closed == pytest.approx(dense, abs=1e-12)
+            assert per_site * 96 == pytest.approx(closed, rel=1e-15)
+        # its own reference gives zero up to round-off
+        assert abs(rel_entropy_gaussian(g0, smooth_field(lat, seed=3))[0]) < 1e-12
+
+    def test_gibbs_reference_matches_fock_oracle(self, rng):
+        lat = Lattice(4)
+        for _ in range(3):
+            lf1 = MultiplierField(
+                lat, 0.4 * rng.normal(size=4), 0.3 * rng.normal(size=4), 1.0 + 0.5 * rng.random(4)
+            )
+            lf2 = MultiplierField(
+                lat, 0.4 * rng.normal(size=4), 0.3 * rng.normal(size=4), 1.0 + 0.5 * rng.random(4)
+            )
+            s_closed, _ = rel_entropy_gaussian(gibbs_gaussian(lat, lf1), lf2)
+            s_fock = entropy.rel_entropy_dm(
+                entropy.fock_oracle_gaussian(4, to_position(gibbs_exponent(lf1))),
+                entropy.fock_oracle_gaussian(4, to_position(gibbs_exponent(lf2))),
+            )
+            assert abs(s_closed - s_fock) < 1e-8
+
+    def test_unknown_entropy_taken_from_spectrum(self):
+        lat = Lattice(32)
+        g0 = gibbs_gaussian(lat, smooth_field(lat, seed=5))
+        lf = smooth_field(lat, seed=6)
+        bare = GaussianState(lat, g0.chat)
+        assert bare.s_vn is None
+        assert rel_entropy_gaussian(bare, lf)[0] == pytest.approx(
+            rel_entropy_gaussian(g0, lf)[0], abs=1e-12
+        )
 
 class TestEntropyProduction:
     @staticmethod
@@ -398,6 +560,24 @@ class TestEntropyProduction:
         fd = (s_plus - s_minus) / (2 * h)
         assert prod == pytest.approx(fd, rel=1e-4)
 
+
+    def test_against_dense_formula(self):
+        lat = Lattice(32)
+        lam_of_t = self.lam_path(lat)
+        gamma = evolve(gibbs_gaussian(lat, lam_of_t(0.0)), 0.8)
+        t, dt_macro = 0.8, 1e-5
+        dt = dt_macro / lat.epsilon
+        k_now = dense_exponent(lam_of_t(t))
+        dk = (dense_exponent(lam_of_t(t + dt)) - dense_exponent(lam_of_t(t - dt))) / (2 * dt)
+        w = dft_matrix(32)
+        h1 = (w.conj().T * lat.dispersion) @ w
+        vals, vecs = np.linalg.eigh(k_now)
+        c_omega = (vecs / (1.0 + np.exp(-vals))) @ vecs.conj().T
+        comm = h1 @ k_now - k_now @ h1
+        oracle = np.real(np.trace((-1j * comm - dk) @ gamma.C) + np.trace(dk @ c_omega))
+        assert entropy_production(gamma, lam_of_t, t, dt_macro) == pytest.approx(
+            oracle, abs=1e-11
+        )
 
 class TestAssumptionChecks:
     def test_moment_finite_and_time_invariant(self):
@@ -451,3 +631,24 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,n,p,h,w0,w1,w4"
         assert len(lines) == 33
+
+    def test_hand_packed_snapshot_loads(self, tmp_path):
+        # FEGSNAP1: magic, <Q L, <d t, <H tag length, tag, then the upper
+        # triangle of position-space C row by row as little-endian complex128
+        lat = Lattice(12)
+        st = gibbs_gaussian(lat, smooth_field(lat, seed=6))
+        c = st.C
+        tag = b"C(x,y)=<a+_y a_x>; p in (-pi,pi]"
+        body = b"".join(
+            struct.pack("<dd", c[x, y].real, c[x, y].imag)
+            for x in range(12) for y in range(x, 12)
+        )
+        path = tmp_path / "old.bin"
+        path.write_bytes(
+            b"FEGSNAP1" + struct.pack("<Qd", 12, 3.5) + struct.pack("<H", len(tag)) + tag + body
+        )
+        back, t = load_state(path)
+        assert t == 3.5
+        assert back.L == 12
+        assert np.max(np.abs(back.chat - st.chat)) < 1e-15
+        assert np.max(np.abs(back.C - c)) < 1e-15
