@@ -9,10 +9,6 @@ class NonpositiveBeta(FermiEulerError):
     """Inverse temperature multiplier must be strictly positive."""
 
 
-class QuadratureFailure(FermiEulerError):
-    """A momentum-space quadrature did not reach its tolerance."""
-
-
 class OutOfDomain(FermiEulerError):
     """Conserved densities outside the one-phase (dualizable) region."""
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import eos
-from .errors import CflViolation, LeftOnePhaseRegion, NonFinite, OutOfDomain, VacuumCell
+from .errors import CflViolation, LeftOnePhaseRegion, NonFinite, VacuumCell
 
 DEFAULT_CFL = 0.4
 
@@ -250,22 +250,11 @@ def run(
 def lambda_field_of(
     qfield: ConservedField, model: eos.EosModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cellwise dual inversion: multiplier fields (lam0, lam1, lam4) with
-    dual_q(lam(X)) = q(X); raises OutOfDomain naming the offending cell."""
-    n = qfield.n_cells
-    lam0 = np.empty(n)
-    lam1 = np.empty(n)
-    lam4 = np.empty(n)
-    guess = None
-    for j in range(n):
-        q = eos.ConservedVector(rho=qfield.rho[j], mom=[qfield.mom[j]], e=qfield.e[j])
-        try:
-            lam = eos.invert_to_multipliers(model, q, guess)
-        except OutOfDomain as err:
-            raise OutOfDomain(f"cell {j}: {err}") from err
-        lam0[j], lam1[j], lam4[j] = lam.lam0, lam.lam_mom[0], lam.lam4
-        guess = lam
-    return lam0, lam1, lam4
+    """Cellwise dual inversion by one `eos.invert` over all cells:
+    multiplier fields (lam0, lam1, lam4) with dual_q(lam(X)) = q(X); raises
+    OutOfDomain naming the offending cell."""
+    lam = eos.invert(model, qfield.stack().T)
+    return tuple(np.ascontiguousarray(lam.T))
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +297,11 @@ def profile_callables(kind: str, params: dict):
 
 def initial_q_field(kind: str, params: dict, grid: MacroGrid, model: eos.EosModel) -> ConservedField:
     """Evaluate a named profile as cellwise conserved data (dualizing
-    multiplier profiles pointwise)."""
+    multiplier profiles by one `eos.moments` over all cells)."""
     calls = profile_callables(kind, params)
     x = grid.centers
     if kind == "q-cos":
         return ConservedField(rho=calls["rho"](x), mom=calls["mom"](x), e=calls["e"](x))
-    lam0, lam1, lam4 = calls["lam0"](x), calls["lam1"](x), calls["lam4"](x)
-    rho = np.empty(grid.n_cells)
-    mom = np.empty(grid.n_cells)
-    e = np.empty(grid.n_cells)
-    for j in range(grid.n_cells):
-        q = eos.dual_q(
-            model, eos.MultiplierVector(lam0=lam0[j], lam_mom=[lam1[j]], lam4=lam4[j])
-        )
-        rho[j], mom[j], e[j] = q.rho, q.mom[0], q.e
-    return ConservedField(rho=rho, mom=mom, e=e)
+    lam = np.stack([calls["lam0"](x), calls["lam1"](x), calls["lam4"](x)], axis=-1)
+    signed = eos.moments(model, lam)[1]
+    return ConservedField(rho=signed[:, 0], mom=signed[:, 1], e=-signed[:, 2])

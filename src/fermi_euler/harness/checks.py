@@ -9,6 +9,7 @@ CLI `checks` run and the pytest acceptance suite execute the same code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -33,6 +34,10 @@ class CheckResult:
     mode: str  # "le": value <= tol passes; "ge": value >= tol passes
     passed: bool
     note: str = ""
+    # value/tol ("le") or tol/value ("ge"): at most 1 passes, and the
+    # distance below 1 is how close the check came to failing; None
+    # (null in checks.json) for a failure where the quotient is undefined
+    margin: float | None = 0.0
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -44,7 +49,25 @@ def _res(name, value, tol, mode="le", note=""):
     value = float(value)
     tol = float(tol)
     passed = value <= tol if mode == "le" else value >= tol
-    return CheckResult(name=name, value=value, tol=tol, mode=mode, passed=passed, note=note)
+    return CheckResult(name=name, value=value, tol=tol, mode=mode, passed=passed, note=note,
+                       margin=_margin(value, tol, mode, passed))
+
+
+def _margin(value: float, tol: float, mode: str, passed: bool) -> float | None:
+    """value/tol for "le", tol/value for "ge".  Where the divisor is not
+    positive, or the value is not finite, the quotient does not order pass
+    and fail: the margin is then 0 for a pass and None for a failure, so
+    that checks.json stays strict JSON."""
+    num, den = (value, tol) if mode == "le" else (tol, value)
+    if den > 0.0 and math.isfinite(num / den):
+        return num / den
+    return 0.0 if passed else None
+
+
+def _record(result: CheckResult) -> dict:
+    """The result as a strict-JSON record: a non-finite value is null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(result).items()}
 
 
 def _smooth_field(lattice, rng, beta0=2.5, amp=0.1):
@@ -578,8 +601,8 @@ def run_checks(config: ExperimentConfig, groups=None, out_dir=None, verbose=True
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "checks.json").write_text(
-        json.dumps({"all_passed": all_passed, "results": [asdict(r) for r in results]},
-                   indent=2, sort_keys=True)
+        json.dumps({"all_passed": all_passed, "results": [_record(r) for r in results]},
+                   indent=2, sort_keys=True, allow_nan=False)
     )
     write_manifest(out, config, extras={"all_passed": all_passed})
     return CheckReport(results=results, all_passed=all_passed)

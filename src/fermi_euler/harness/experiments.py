@@ -89,7 +89,8 @@ def macro_spectral_derivative(field: np.ndarray) -> np.ndarray:
 
 
 def lam_sites_from_profile(profile: dict, X: np.ndarray, model: eos.EosModel):
-    """Multiplier fields of a named profile at torus positions X."""
+    """Multiplier fields of a named profile at torus positions X (a
+    `q-cos` profile is inverted by one `eos.invert` over all sites)."""
     calls = euler.profile_callables(profile["kind"], profile["params"])
     ones = np.ones_like(X)
     if profile["kind"] == "lambda-cos":
@@ -98,18 +99,8 @@ def lam_sites_from_profile(profile: dict, X: np.ndarray, model: eos.EosModel):
             calls["lam1"](X) * ones,
             calls["lam4"](X) * ones,
         )
-    lam0 = np.empty_like(X)
-    lam1 = np.empty_like(X)
-    lam4 = np.empty_like(X)
-    guess = None
-    for j, x in enumerate(np.asarray(X)):
-        q = eos.ConservedVector(
-            rho=calls["rho"](x), mom=[calls["mom"](x)], e=calls["e"](x)
-        )
-        lam = eos.invert_to_multipliers(model, q, guess)
-        guess = lam
-        lam0[j], lam1[j], lam4[j] = lam.lam0, lam.lam_mom[0], lam.lam4
-    return lam0, lam1, lam4
+    q = np.stack([calls["rho"](X), calls["mom"](X), calls["e"](X)], axis=-1)
+    return tuple(np.ascontiguousarray(eos.invert(model, q).T))
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -314,11 +305,13 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
             t_micro = t_macro / lat.epsilon
             gamma = omega0 if t_macro == 0.0 else micro.evolve(omega0, t_micro)
             # the reference at T > 0 is the local Gibbs state of lam_at(T),
-            # evaluated in closed form from its exponent
-            omega_t = omega0 if t_macro == 0.0 else lam_at(t_macro)
+            # evaluated in closed form from its exponent, whose spectrum the
+            # entropy and the production rate share
+            spectrum = micro.gibbs_spectrum(lam_at(t_macro))
+            omega_t = omega0 if t_macro == 0.0 else spectrum
             s_tot, s_site = micro.rel_entropy_gaussian(gamma, omega_t)
             production = micro.entropy_production(
-                gamma, lam_of_micro_t, t_micro, dt_macro=h_prod
+                gamma, lam_of_micro_t, t_micro, dt_macro=h_prod, spectrum=spectrum
             )
             if t_macro > 0.0:
                 s_up = entropy_at(t_macro + h_fd)

@@ -377,6 +377,25 @@ def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianStat
     return GaussianState._exact(lattice, chat, _mode_entropy(kappa))
 
 
+@dataclass(frozen=True)
+class GibbsSpectrum:
+    """The exponent Khat of one multiplier field with its eigenvalues kappa
+    and eigenvectors: what `rel_entropy_gaussian` and `entropy_production`
+    both need of one snapshot's local Gibbs reference, decomposed once."""
+
+    lattice: Lattice
+    khat: np.ndarray
+    kappa: np.ndarray
+    vecs: np.ndarray
+
+
+def gibbs_spectrum(lam_field: MultiplierField) -> GibbsSpectrum:
+    """Khat of lam_field and its full eigendecomposition."""
+    khat = gibbs_exponent(lam_field)
+    kappa, vecs = eigh(khat, check_finite=False)
+    return GibbsSpectrum(lam_field.lattice, khat, kappa, vecs)
+
+
 def evolve(state: GaussianState, t: float) -> GaussianState:
     """Free evolution C(t) = e^{-i t h1} C e^{+i t h1}: in the momentum
     eigenbasis of h1 = -Laplacian/2 the phase e^{-i t eps_k} e^{+i t eps_q}
@@ -576,7 +595,7 @@ def coarse_grain(fields, ell: int, lattice: Lattice):
 
 
 def rel_entropy_gaussian(
-    gamma: GaussianState, omega: GaussianState | MultiplierField
+    gamma: GaussianState, omega: GaussianState | MultiplierField | GibbsSpectrum
 ) -> tuple[float, float]:
     """Relative entropy S(gamma | omega) between quasi-free states, returned
     as (total, per-site density).
@@ -587,7 +606,8 @@ def rel_entropy_gaussian(
         S = -S_vN(gamma) - tr(Chat_gamma Khat) + sum_j log(1 + e^{kappa_j}),
 
     with kappa the spectrum of Khat and S_vN(gamma) from `vn_entropy` (exact
-    for an evolved Gibbs state).  When omega is a state, both spectra are
+    for an evolved Gibbs state); a GibbsSpectrum of the field supplies Khat
+    and kappa already computed.  When omega is a state, both spectra are
     used:
 
         S = tr[Cg (log Cg - log Cw)] + tr[(1-Cg)(log(1-Cg) - log(1-Cw))],
@@ -597,10 +617,13 @@ def rel_entropy_gaussian(
     """
     if gamma.L != omega.lattice.L:
         raise ValueError("states live on different lattices")
-    if isinstance(omega, MultiplierField):
-        khat = gibbs_exponent(omega)
+    if isinstance(omega, (MultiplierField, GibbsSpectrum)):
+        shared = isinstance(omega, GibbsSpectrum)
+        khat = omega.khat if shared else gibbs_exponent(omega)
         cross = float(np.vdot(khat, gamma.chat).real)
-        kappa = eigh(khat, eigvals_only=True, overwrite_a=True, check_finite=False)
+        kappa = omega.kappa if shared else eigh(
+            khat, eigvals_only=True, overwrite_a=True, check_finite=False
+        )
         total = float(np.sum(np.logaddexp(0.0, kappa))) - cross - gamma.vn_entropy()
         return total, total / gamma.L
     if gamma is omega or gamma.chat is omega.chat:
@@ -631,6 +654,7 @@ def entropy_production(
     lam_field_of_t: Callable[[float], MultiplierField],
     t: float,
     dt_macro: float = 1e-5,
+    spectrum: GibbsSpectrum | None = None,
 ) -> float:
     """d/dt S(gamma_t | omega_t) for omega_t the local Gibbs state built from
     lam_field_of_t (micro-time argument), evaluated at micro time t:
@@ -642,20 +666,23 @@ def entropy_production(
     dK/dt uses centered differences with macroscopic step dt_macro (the one
     inexact ingredient; everything else is evaluated in closed form).  The
     commutator sign matches the drift-pinned evolution convention.
+    `spectrum` is the GibbsSpectrum of lam_field_of_t(t) when the caller
+    has it already.
     """
     lat = gamma.lattice
-    k_now = gibbs_exponent(lam_field_of_t(t))
+    if spectrum is None:
+        spectrum = gibbs_spectrum(lam_field_of_t(t))
+    k_now = spectrum.khat
     dt_micro = dt_macro / lat.epsilon
-    k_plus = gibbs_exponent(lam_field_of_t(t + dt_micro))
-    k_minus = gibbs_exponent(lam_field_of_t(t - dt_micro))
-    dk_dt = (k_plus - k_minus) / (2.0 * dt_micro)
+    dk_dt = gibbs_exponent(lam_field_of_t(t + dt_micro))
+    dk_dt -= gibbs_exponent(lam_field_of_t(t - dt_micro))
+    dk_dt /= 2.0 * dt_micro
 
     eps = lat.dispersion
     comm = (eps[:, None] - eps[None, :]) * k_now
     # tr(A B) = sum_kq conj(A_kq) B_kq for Hermitian A
     term_gamma = np.vdot(-1j * comm - dk_dt, gamma.chat)
-    vals, vecs = eigh(k_now, overwrite_a=True, check_finite=False)
-    c_omega = _gram(vecs * np.sqrt(expit(vals)))
+    c_omega = _gram(spectrum.vecs * np.sqrt(expit(spectrum.kappa)))
     term_norm = np.vdot(dk_dt, c_omega)
     return float(np.real(term_gamma + term_norm))
 

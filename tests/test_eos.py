@@ -20,13 +20,15 @@ from fermi_euler.eos import (
     dual_q,
     energy_floor,
     hessian_psi,
+    invert,
     invert_to_multipliers,
+    moments,
     pressure_psi,
     rest_pressure,
     tabulate,
     virial_gap,
 )
-from fermi_euler.errors import NonFinite, NonpositiveBeta, OutOfDomain
+from fermi_euler.errors import NoConvergence, NonFinite, NonpositiveBeta, OutOfDomain
 
 M1 = EosModel(d=1, domain=UNBOUNDED)
 
@@ -226,6 +228,124 @@ class TestDual:
         assert np.max(np.abs(q.signed() - fd) / np.abs(fd)) < 1e-6
 
 
+def random_multipliers(rng, d, n):
+    """n multiplier rows (lam0, lam_mom, lam4) with beta in [0.5, 4],
+    alpha in [-0.6, 0.6]^d and mu in [-0.5, 0.8]."""
+    beta = rng.uniform(0.5, 4.0, n)
+    alpha = rng.uniform(-0.6, 0.6, (n, d))
+    mu = rng.uniform(-0.5, 0.8, n)
+    return np.concatenate([(beta * mu)[:, None], beta[:, None] * alpha, beta[:, None]], axis=1)
+
+
+def densities_of(model, lam):
+    """Unsigned densities (rho, mom, e) at multiplier rows lam."""
+    q = moments(model, lam)[1].copy()
+    q[..., -1] *= -1.0
+    return q
+
+
+class TestKernel:
+    @pytest.mark.parametrize("domain", [UNBOUNDED, BRILLOUIN])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_matches_scalar(self, d, domain, rng):
+        model = EosModel(d=d, domain=domain, bz_nodes={1: 4096, 2: 64, 3: 16}[d])
+        lam = random_multipliers(rng, d, 12)
+        psi, grad, hess = moments(model, lam)
+        q = densities_of(model, lam)
+        back = invert(model, q)
+        for i, row in enumerate(lam):
+            mv = MultiplierVector.from_array(row)
+            assert abs(pressure_psi(model, mv) - psi[i]) <= 1e-14 * psi[i]
+            scale = np.abs(grad[i]).max()
+            assert np.max(np.abs(dual_q(model, mv).signed() - grad[i])) <= 1e-14 * scale
+            scale = np.abs(hess[i]).max()
+            assert np.max(np.abs(hessian_psi(model, mv) - hess[i])) <= 1e-14 * scale
+            # the same Newton on one cell, from the same crossover guess
+            one = invert_to_multipliers(model, ConservedVector.from_array(q[i])).as_array()
+            assert np.max(np.abs(one - back[i])) <= 1e-12 * np.abs(back[i]).max()
+        assert np.max(np.abs(back - lam)) < 1e-8
+
+    def test_shapes(self):
+        lam = np.broadcast_to([0.3, 0.1, 1.5], (2, 4, 3))
+        psi, grad, hess = moments(M1, lam)
+        assert psi.shape == (2, 4) and grad.shape == (2, 4, 3) and hess.shape == (2, 4, 3, 3)
+        assert invert(M1, densities_of(M1, lam)).shape == (2, 4, 3)
+
+    @pytest.mark.parametrize("n", [63, 64, 4096])
+    def test_fused_brillouin_matches_explicit_sums(self, n, rng):
+        # the zone sums written out node by node, as separate quadratures
+        model = EosModel(d=1, domain=BRILLOUIN, bz_nodes=n)
+        p = eos.brillouin_momenta(n)
+        basis = np.stack([np.ones(n), p, -0.5 * p * p], axis=1)
+        lam = random_multipliers(rng, 1, 10)
+        psi, grad, hess = moments(model, lam)
+        for i, (lam0, lam1, lam4) in enumerate(lam):
+            g = lam0 + lam1 * p - 0.5 * lam4 * p * p
+            f = expit(g)
+            ref_q = np.array([np.sum(f), np.sum(p * f), -np.sum(0.5 * p * p * f)]) / n
+            ref_h = (basis * (expit(g) * expit(-g))[:, None]).T @ basis / n
+            assert abs(psi[i] - np.mean(np.logaddexp(0.0, g))) <= 1e-14 * psi[i]
+            assert np.max(np.abs(grad[i] - ref_q)) <= 1e-14 * np.abs(ref_q).max()
+            assert np.max(np.abs(hess[i] - ref_h)) <= 1e-14 * np.abs(ref_h).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fermi_dirac_oracle_sweep(self, d):
+        # lam4 enters only through the closed-form prefactor, z through the
+        # quadrature: sweep z across the rule's panels, and on to the
+        # near-degenerate cells (z ~ 575 at beta ~ 1150, mu = 0.5) where the
+        # Fermi edge is sharpest
+        rng = np.random.default_rng(d)
+        rows = []
+        for z in np.concatenate([np.linspace(-40.0, 40.0, 9), [100.0, 500.0, 1000.0]]):
+            for lam4 in (0.2, 2.0, 20.0):
+                m = lam4 * rng.uniform(-0.5, 0.5, d)
+                rows.append(np.concatenate([[z - 0.5 * (m @ m) / lam4], m, [lam4]]))
+        psi, grad, hess = moments(EosModel(d=d, domain=UNBOUNDED), np.array(rows))
+        for i, row in enumerate(rows):
+            ref_psi, ref_q, ref_h = fermi_dirac_oracle(MultiplierVector.from_array(row))
+            ref_q[-1] *= -1.0
+            assert abs(psi[i] - ref_psi) <= 1e-10 * ref_psi
+            assert np.all(np.abs(grad[i] - ref_q) <= 1e-10 * np.abs(ref_q))
+            assert np.all(np.abs(hess[i] - ref_h) <= 1e-10 * np.abs(ref_h))
+
+    @pytest.fixture(params=[BRILLOUIN, UNBOUNDED])
+    def batch(self, request):
+        # 256 cells of a smooth profile, with the multipliers that produce them
+        model = EosModel(d=1, domain=request.param, bz_nodes=512)
+        x = (np.arange(256) + 0.5) / 256
+        lam = np.stack([0.25 + 0.08 * np.cos(2 * np.pi * x), 0.1 * np.sin(2 * np.pi * x),
+                        2.5 + 0.25 * np.cos(2 * np.pi * x + 0.7)], axis=1)
+        return model, lam, densities_of(model, lam)
+
+    def test_non_finite_cell_named(self, batch):
+        model, _, q = batch
+        q[117, 1] = np.nan
+        with pytest.raises(NonFinite, match="cell 117"):
+            invert(model, q)
+
+    def test_out_of_domain_cell_named(self, batch):
+        model, _, q = batch
+        q[117, -1] = 0.9 * energy_floor(model, q[117, 0]) + 0.5 * q[117, 1] ** 2 / q[117, 0]
+        with pytest.raises(OutOfDomain, match="cell 117"):
+            invert(model, q)
+
+    def test_non_converging_cell_named(self, batch):
+        # the Newton under `invert`, capped at two steps: every other cell
+        # starts at its solution, cell 117 far from it
+        model, lam, q = batch
+        guess = lam.copy()
+        guess[117] = [-3.0, 0.0, 40.0]
+        assert np.array_equal(eos._newton(model, q, lam.copy(), 1e-9, 0), lam)
+        with pytest.raises(NoConvergence, match="cell 117"):
+            eos._newton(model, q, guess, 1e-9, 2)
+
+    def test_non_finite_multipliers_named(self, batch):
+        model, lam, _ = batch
+        lam[117, 0] = np.inf
+        with pytest.raises(NonFinite, match="cell 117"):
+            moments(model, lam)
+
+
 class TestInversion:
     def test_roundtrip(self):
         lam = lam_phys(1.0, 0.3, 0.2)
@@ -402,6 +522,18 @@ class TestTable:
             table.pressure(0.05, 0.15)
         with pytest.raises(OutOfDomain):
             table.pressure(0.3, 0.5)
+
+    def test_probe_outside_ranges_names_index_and_hull(self, table):
+        rho = np.full(5, 0.3)
+        rho[3] = 0.4
+        with pytest.raises(OutOfDomain, match=r"rho = 0\.4 at index 3 outside the tabulated "
+                                              r"range \[0\.18, 0\.36\]"):
+            table.pressure(rho, np.full(5, 0.15))
+        eint = np.full(5, 0.15)
+        eint[1] = 0.05
+        with pytest.raises(OutOfDomain, match=r"e_int = 0\.05 at index 1 outside the "
+                                              r"tabulated range \[0\.085, 0\.22\]"):
+            table.partials(np.full(5, 0.3), eint)
 
     def test_serialization_roundtrip(self, table, tmp_path):
         path = tmp_path / "eos_table.json"

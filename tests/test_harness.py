@@ -221,6 +221,18 @@ class TestExperiments:
         assert a == b
 
 
+    @pytest.mark.parametrize("kind", ["entropy-track", "euler-run"])
+    def test_runs_repeat_bytewise(self, tmp_path, kind):
+        cfg = small_config(kind, tmp_path / "out", l_list=[64])
+        run = {"entropy-track": experiments.run_entropy_track, "euler-run": experiments.run_euler}
+        outputs = []
+        for _ in range(2):
+            run[kind](cfg)
+            files = sorted((tmp_path / "out").glob("*.csv")) + [tmp_path / "out" / "manifest.json"]
+            outputs.append({f.name: f.read_bytes() for f in files})
+        assert len(outputs[0]) >= 2 and outputs[0] == outputs[1]
+
+
 class TestChecks:
     def test_seed_override_same_pass_set(self, tmp_path):
         groups = ["eos_virial", "entropy_gaps"]
@@ -248,7 +260,29 @@ class TestChecks:
         checks.run_checks(cfg, groups=["micro_window"], verbose=False)
         payload = json.loads((tmp_path / "r" / "checks.json").read_text())
         for rec in payload["results"]:
-            assert set(rec) == {"name", "value", "tol", "mode", "passed", "note"}
+            assert set(rec) == {"name", "value", "tol", "mode", "passed", "note", "margin"}
+
+    def test_margin_below_one_means_pass(self, tmp_path):
+        assert checks._res("a", 2e-9, 1e-8).margin == pytest.approx(0.2)
+        failing = checks._res("b", 0.5, 0.8, mode="ge")
+        assert not failing.passed and failing.margin == pytest.approx(1.6)
+        assert checks._res("c", 0.0, 0.0).margin == 0.0
+        assert checks._res("d", -1.0, 1e-12, mode="ge").margin is None
+        nan_result = checks._res("e", float("nan"), 1e-8)
+        assert nan_result.margin is None and checks._record(nan_result)["value"] is None
+        cfg = ExperimentConfig(seed=1, out_dir=str(tmp_path / "m"), tolerances={"virial": 0.0})
+        checks.run_checks(cfg, groups=["eos_virial", "micro_window"], verbose=False)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (tmp_path / "m" / "checks.json").read_text()
+        results = json.loads(text, parse_constant=reject)["results"]
+        for rec in results:
+            assert (rec["margin"] is not None and rec["margin"] <= 1.0) == rec["passed"]
+        assert {rec["passed"] for rec in results} == {True, False}
+        # a failing tol = 0 check has no quotient: its margin is null
+        assert any(rec["margin"] is None for rec in results)
 
 
 class TestCli:

@@ -579,6 +579,22 @@ class TestEntropyProduction:
             oracle, abs=1e-11
         )
 
+    def test_shared_spectrum_matches_separate_calls(self):
+        # one decomposition of Khat(T) serves the relative entropy (values
+        # only, when called alone) and the production rate (full eigh)
+        lat = Lattice(128)
+        lam_of_t = self.lam_path(lat)
+        t = 0.6
+        gamma = evolve(gibbs_gaussian(lat, lam_of_t(0.0)), t)
+        spectrum = micro.gibbs_spectrum(lam_of_t(t))
+        shared = rel_entropy_gaussian(gamma, spectrum)
+        alone = rel_entropy_gaussian(gamma, lam_of_t(t))
+        assert shared[0] == pytest.approx(alone[0], abs=1e-12)
+        assert shared[1] == pytest.approx(alone[1], abs=1e-12)
+        assert entropy_production(gamma, lam_of_t, t, spectrum=spectrum) == pytest.approx(
+            entropy_production(gamma, lam_of_t, t), abs=1e-12
+        )
+
 class TestAssumptionChecks:
     def test_moment_finite_and_time_invariant(self):
         lat = Lattice(256)
