@@ -16,7 +16,8 @@ keeping the energy density positive.
 
 One kernel, `moments`, gives psi, the signed densities and the Hessian of
 psi for a whole array of multipliers of shape (..., d+2), and one damped
-Newton, `invert`, solves the dual map for a whole array of densities.  On
+Newton, `invert`, solves the dual map for a whole array of densities
+(`invert_cells` reports the cells it rejects instead of raising).  On
 the Brillouin zone both are the bz_nodes rectangle rule: one exponent, one
 Fermi function and one product with the fixed moment basis (1, p, -|p|^2/2).
 On the unbounded domain completing the square shows that psi depends on
@@ -417,35 +418,23 @@ def energy_floor(model: EosModel, rho):
     return 0.3 * (6.0 * np.pi**2) ** (2.0 / 3.0) * rho ** (5.0 / 3.0)
 
 
-def _domain_violation(model: EosModel, q: np.ndarray):
-    """(cell, error type, message) of the first cell of q (N, d+2) outside
-    the dualizable region, or None."""
-    finite = np.all(np.isfinite(q), axis=1)
-    if not np.all(finite):
-        j = int(np.argmin(finite))
-        return j, NonFinite, f"non-finite densities {q[j]}"
-    rho = q[:, 0]
-    if np.any(rho <= 0.0):
-        j = int(np.argmax(rho <= 0.0))
-        return j, OutOfDomain, f"rho = {rho[j]} must be > 0"
-    if model.domain == BRILLOUIN and np.any(rho >= 1.0):
-        j = int(np.argmax(rho >= 1.0))
-        return j, OutOfDomain, f"rho = {rho[j]} exceeds the filled-band density 1"
-    eint = q[:, -1] - 0.5 * np.sum(q[:, 1:-1] ** 2, axis=1) / rho
-    floor = energy_floor(model, rho)
-    if np.any(eint <= floor):
-        j = int(np.argmax(eint <= floor))
-        return j, OutOfDomain, (
-            f"internal energy {eint[j]:.6e} at or below the T=0 floor {floor[j]:.6e}"
-        )
-    return None
-
-
-def check_domain(model: EosModel, q: ConservedVector):
-    """Raise OutOfDomain unless q is strictly inside the dualizable region."""
-    bad = _domain_violation(model, q.as_array()[None])
-    if bad is not None:
-        raise bad[1](bad[2])
+def _guard(model: EosModel, q: np.ndarray) -> list:
+    """The conditions of the dualizable region on densities q (N, d+2), in
+    the order `invert` checks them: (violated (N,), error type, message for
+    cell j) per condition."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = q[:, 0]
+        eint = q[:, -1] - 0.5 * np.sum(q[:, 1:-1] ** 2, axis=1) / rho
+        floor = energy_floor(model, rho)
+        return [
+            (~np.all(np.isfinite(q), axis=1), NonFinite,
+             lambda j: f"non-finite densities {q[j]}"),
+            (rho <= 0.0, OutOfDomain, lambda j: f"rho = {rho[j]} must be > 0"),
+            ((rho >= 1.0) & (model.domain == BRILLOUIN), OutOfDomain,
+             lambda j: f"rho = {rho[j]} exceeds the filled-band density 1"),
+            (eint <= floor, OutOfDomain,
+             lambda j: f"internal energy {eint[j]:.6e} at or below the T=0 floor {floor[j]:.6e}"),
+        ]
 
 
 def _guess(model: EosModel, q: np.ndarray) -> np.ndarray:
@@ -469,18 +458,20 @@ def _guess(model: EosModel, q: np.ndarray) -> np.ndarray:
                            beta[:, None]], axis=1)
 
 
-def default_guess(model: EosModel, q: ConservedVector) -> MultiplierVector:
-    """Crossover initial guess: Sommerfeld near the T=0 floor, classical when hot."""
-    return MultiplierVector.from_array(_guess(model, q.as_array()[None])[0])
+# Every inversion stops at this largest relative residual, within this many
+# Newton steps.
+_RTOL = 1e-10
+_MAX_ITER = 100
 
 
-def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray, rtol: float, max_iter: int):
-    """Damped Newton for dual_q(lam) = q over cells (N, d+2), in place on lam.
+def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray):
+    """Damped Newton for dual_q(lam) = q over cells (N, d+2), in place on lam;
+    returns lam and each cell's final largest relative residual.
 
     Each cell follows the scalar iteration on the strictly convex objective
     psi(lam) - lam.q: a full Newton step, halved while the largest relative
     residual does not decrease or lam4 leaves (0, inf).  A cell stops once
-    its residual is within rtol; every evaluation gives the densities and
+    its residual is within _RTOL; every evaluation gives the densities and
     the Hessian together."""
     y = q.copy()
     y[:, -1] *= -1.0  # gradient of psi at the solution
@@ -489,8 +480,8 @@ def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray, rtol: float, max_it
     _, grad, hess = _evaluate(model, lam, False, True)
     r = grad - y
     rel = np.max(np.abs(r) / scale, axis=1)
-    live = ~(rel <= rtol)
-    for _ in range(max_iter):
+    live = ~(rel <= _RTOL)
+    for _ in range(_MAX_ITER):
         todo = np.flatnonzero(live)
         if todo.size == 0:
             break
@@ -516,16 +507,8 @@ def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray, rtol: float, max_it
             todo, base, step, t = todo[keep], base[keep], step[keep], 0.5 * t[keep]
         else:
             live[todo] = False  # stalled
-        live &= ~(rel <= rtol)
-    unconverged = ~(rel <= rtol)
-    if np.any(unconverged):
-        j = int(np.argmax(unconverged))
-        raise NoConvergence(
-            f"cell {j}: Newton inversion stalled at relative residual {rel[j]:.3e} "
-            f"(rtol {rtol:.1e})",
-            residual=rel[j],
-        )
-    return lam
+        live &= ~(rel <= _RTOL)
+    return lam, rel
 
 
 def _solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -536,68 +519,61 @@ def _solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return (np.linalg.pinv(hess) @ rhs[..., None])[..., 0]
 
 
+def invert_cells(model: EosModel, q):
+    """Per-cell outcome of one inversion of densities q (..., d+2), ordered
+    (rho, mom..., e), from the crossover guess: (lam, inside, converged).
+    `inside` (...) marks the cells in the dualizable region (finite, rho > 0,
+    below the filled band on the Brillouin zone, internal energy above the
+    T=0 floor), `converged` (...) those whose Newton reached the tolerance
+    of `invert`; lam (..., d+2) is NaN wherever a cell is not converged."""
+    shape = np.shape(q)
+    flat = _cells(model, q, "densities")
+    inside = ~np.logical_or.reduce([violated for violated, _, _ in _guard(model, flat)])
+    lam = np.full(flat.shape, np.nan)
+    lam[inside], rel = _newton(model, flat[inside], _guess(model, flat[inside]))
+    converged = inside.copy()
+    converged[inside] = rel <= _RTOL
+    lam[~converged] = np.nan
+    return lam.reshape(shape), inside.reshape(shape[:-1]), converged.reshape(shape[:-1])
+
+
 def invert(model: EosModel, q, guess=None):
     """Multipliers lam (..., d+2) with dual_q(lam) = q for densities q of
     shape (..., d+2), ordered (rho, mom..., e), by one damped Newton over
-    all cells (see `_newton`) to relative residual 1e-9 in at most 100
-    steps, as `invert_to_multipliers` by default; starts from `guess` (same
-    shape) or the crossover guess.  Raises NonFinite, OutOfDomain or
-    NoConvergence naming the first offending cell."""
+    all cells (see `_newton`) to relative residual 1e-10 in at most 100
+    steps; starts from `guess` (same shape) or the crossover guess.  Raises
+    NonFinite, OutOfDomain or NoConvergence naming the first offending cell."""
     shape = np.shape(q)
     flat = _cells(model, q, "densities")
-    bad = _domain_violation(model, flat)
-    if bad is not None:
-        raise bad[1](f"cell {bad[0]}: {bad[2]}")
+    for violated, error, message in _guard(model, flat):
+        if np.any(violated):
+            j = int(np.argmax(violated))
+            raise error(f"cell {j}: {message(j)}")
     lam = _guess(model, flat) if guess is None else _cells(model, guess, "multipliers").copy()
     if lam.shape != flat.shape:
         raise ValueError(f"guess of shape {np.shape(guess)} does not match densities {shape}")
-    return _newton(model, flat, lam, 1e-9, 100).reshape(shape)
+    lam, rel = _newton(model, flat, lam)
+    unconverged = ~(rel <= _RTOL)
+    if np.any(unconverged):
+        j = int(np.argmax(unconverged))
+        raise NoConvergence(
+            f"cell {j}: Newton inversion stalled at relative residual {rel[j]:.3e} "
+            f"(rtol {_RTOL:.1e})",
+            residual=rel[j],
+        )
+    return lam.reshape(shape)
 
 
 def invert_to_multipliers(
     model: EosModel,
     target: ConservedVector,
     initial_guess: MultiplierVector | None = None,
-    rtol: float = 1e-9,
-    max_iter: int = 100,
 ) -> MultiplierVector:
     """Solve dual_q(lam) = target by damped Newton on the strictly convex
     objective psi(lam) - lam.target (the Legendre sup shares this maximizer);
     `invert` for one cell."""
-    check_domain(model, target)
-    if initial_guess is None:
-        initial_guess = default_guess(model, target)
-    lam = _newton(model, target.as_array()[None], initial_guess.as_array()[None], rtol, max_iter)
-    return MultiplierVector.from_array(lam[0])
-
-
-def rest_pressure(
-    model: EosModel,
-    q: ConservedVector,
-    initial_guess: MultiplierVector | None = None,
-) -> float:
-    """Pressure closure P(rho, e_int): fit rest-frame multipliers to
-    (rho, 0, e - |mom|^2/(2 rho)) and return psi/beta there.  Galilean
-    invariant by construction."""
-    check_domain(model, q)
-    rest = ConservedVector(rho=q.rho, mom=np.zeros(model.d), e=q.e_internal)
-    if initial_guess is not None:
-        guess = MultiplierVector.from_physical(
-            initial_guess.beta, np.zeros(model.d), initial_guess.mu
-        )
-    else:
-        guess = None
-    lam = invert_to_multipliers(model, rest, guess)
-    return pressure_psi(model, lam) / lam.lam4
-
-
-def rest_multipliers(
-    model: EosModel, q: ConservedVector, initial_guess: MultiplierVector | None = None
-) -> MultiplierVector:
-    """Rest-frame multipliers fitted to (rho, 0, e_int); helper for closures."""
-    check_domain(model, q)
-    rest = ConservedVector(rho=q.rho, mom=np.zeros(model.d), e=q.e_internal)
-    return invert_to_multipliers(model, rest, initial_guess)
+    guess = None if initial_guess is None else initial_guess.as_array()[None]
+    return MultiplierVector.from_array(invert(model, target.as_array()[None], guess)[0])
 
 
 def virial_gap(model: EosModel, lam: MultiplierVector) -> float:

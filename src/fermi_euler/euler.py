@@ -5,10 +5,10 @@ Conservation form on the periodic unit torus,
     d/dT (rho, q1, q4) + d/dX (A0, A1, A4) = 0,
     A0 = q1,  A1 = P + q1^2/rho,  A4 = q1 (q4 + P) / rho,
 
-with P = P(rho, e_int) supplied by the free-Fermi-gas closure (tabulated by
-default, direct Newton evaluation behind a flag).  First-order Rusanov
-(local Lax-Friedrichs) interface fluxes with the wave-speed bound |u| + c
-taken from the closed-form characteristic speeds u, u +- c of this flux,
+with P = P(rho, e_int) supplied by the free-Fermi-gas closure (the spline
+table when the config has a table section, direct Newton evaluation
+without one).  First-order Rusanov (local Lax-Friedrichs) interface fluxes
+with the wave-speed bound |u| + c taken from the closed-form characteristic speeds u, u +- c of this flux,
 where c^2 = dP/drho + (e_int + P)/rho * dP/de_int comes from the closure's
 own partials; two-stage Heun time update: the simplest provably conservative
 pairing, adequate because all claims concern smooth solutions.  Each stage

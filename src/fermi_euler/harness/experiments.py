@@ -31,7 +31,6 @@ import numpy as np
 from scipy.special import expit
 
 from .. import eos, euler, ldp, micro
-from ..errors import NoConvergence, OutOfDomain
 from ..micro import GaussianState, Lattice, MultiplierField
 from .config import ExperimentConfig, write_manifest
 
@@ -65,18 +64,25 @@ def bz_pressure_field(model: eos.EosModel, lam0, lam1, lam4):
     return np.logaddexp(0.0, g).mean(axis=0) / lam4
 
 
-def trig_interp(values: np.ndarray, x_out: np.ndarray, x_offset: float) -> np.ndarray:
-    """Trigonometric interpolation of periodic samples at (j + offset)/N onto
-    arbitrary points of the unit torus (both grids periodic, no aliasing)."""
+def trig_interp(values: np.ndarray, L: int, x_offset: float) -> np.ndarray:
+    """Trigonometric interpolant of n periodic samples at j/n + x_offset,
+    evaluated at the L lattice sites x/L of the unit torus.
+
+    The interpolant is sum_m vhat_m e^{2 pi i m (x - x_offset)}/n over
+    |m| <= n/2, the even-n Nyquist term split evenly between m = +-n/2, so at
+    the sites it is an inverse FFT of length L of the offset-shifted
+    spectrum, each mode added at m mod L."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    vhat = np.fft.fft(values)
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    shift = np.asarray(x_out, dtype=float)[None, :] - x_offset
-    phases = np.exp(2j * np.pi * m[:, None] * shift)
+    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    coef = np.fft.fft(values) * np.exp(-2j * np.pi * m * x_offset)
+    padded = np.zeros(L, dtype=complex)
     if n % 2 == 0:
-        phases[n // 2] = np.cos(2.0 * np.pi * (n // 2) * shift[0])
-    return (vhat[:, None] * phases).sum(axis=0).real / n
+        # the Nyquist mode sits at m = -n/2; its other half goes to m = +n/2
+        coef[n // 2] *= 0.5
+        padded[(n // 2) % L] += coef[n // 2] * np.exp(-2j * np.pi * n * x_offset)
+    np.add.at(padded, m % L, coef)
+    return np.fft.ifft(padded).real * (L / n)
 
 
 def macro_spectral_derivative(field: np.ndarray) -> np.ndarray:
@@ -169,7 +175,7 @@ def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceRepo
                 ref = {}
                 q_t = traj.at(t_macro)
                 for comp, cells in (("n", q_t.rho), ("p", q_t.mom), ("h", q_t.e)):
-                    site_vals = trig_interp(cells, X, x_offset=0.5 * grid.dx)
+                    site_vals = trig_interp(cells, L, x_offset=0.5 * grid.dx)
                     ref[comp] = micro.coarse_grain(site_vals, ell, lat)
                 fields = {"n": dens.n, "p": dens.p, "h": dens.h}
                 for fname, ffun in TEST_FUNCTIONS.items():
@@ -282,13 +288,12 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
             if key not in _cache:
                 q_cells = snapshots[key]
                 l0c, l1c, l4c = euler.lambda_field_of(q_cells, model)
-                xs = _lat.sites * _lat.epsilon
                 off = 0.5 * grid.dx
                 _cache[key] = MultiplierField(
                     _lat,
-                    lam0=trig_interp(l0c, xs, off),
-                    lam1=trig_interp(l1c, xs, off),
-                    lam4=trig_interp(l4c, xs, off),
+                    lam0=trig_interp(l0c, _lat.L, off),
+                    lam1=trig_interp(l1c, _lat.L, off),
+                    lam4=trig_interp(l4c, _lat.L, off),
                 )
             return _cache[key]
 
@@ -412,40 +417,24 @@ def run_eos_table(config: ExperimentConfig, out_dir=None) -> Path:
 
 
 def run_rate_scan(config: ExperimentConfig, out_dir=None) -> Path:
-    """rate-scan: CSV of I(q', lam) over a (rho, e) grid at fixed lam.
-
-    psi(lam) is evaluated once; each inversion starts from the previous
-    point's maximizer, each row from the first maximizer of the previous
-    row, as `eos.tabulate` does.  A point that fails writes NaN."""
+    """rate-scan: CSV of I(q', lam) over a (rho, e) grid at fixed lam, all
+    points by one `ldp.rates` call.  A point where `ldp.rate_I` would raise
+    writes NaN."""
     model = config.eos_model()
     scan = config.extra.get("rate_scan", {})
     lam = eos.MultiplierVector.from_physical(
         scan.get("beta", 1.0), scan.get("alpha", 0.0), scan.get("mu", 0.0)
     )
     q_center = eos.dual_q(model, lam)
-    psi_lam = eos.pressure_psi(model, lam)
     spans = scan.get("span", 0.25)
-    n_pts = int(scan.get("points", 9))
-    rows = []
-    guess = None
-    for fr in np.linspace(1.0 - spans, 1.0 + spans, n_pts):
-        row_guess, row_first = guess, None
-        for fe in np.linspace(1.0 - spans, 1.0 + spans, n_pts):
-            q = eos.ConservedVector(
-                rho=fr * q_center.rho, mom=q_center.mom, e=fe * q_center.e
-            )
-            try:
-                ev = ldp.rate_I(model, q, lam, row_guess, psi_lam)
-            except (OutOfDomain, NoConvergence):
-                val = float("nan")
-            else:
-                val = ev.rate
-                row_guess = ev.maximizer
-                if row_first is None:
-                    row_first = ev.maximizer
-            rows.append([float(q.rho), float(q.e), float(val)])
-        if row_first is not None:
-            guess = row_first
+    fractions = np.linspace(1.0 - spans, 1.0 + spans, int(scan.get("points", 9)))
+    n_pts = fractions.size
+    q = np.empty((n_pts, n_pts, model.d + 2))
+    q[..., 0] = fractions[:, None] * q_center.rho
+    q[..., 1:-1] = q_center.mom
+    q[..., -1] = fractions[None, :] * q_center.e
+    rates = ldp.rates(model, q, lam)
+    rows = np.column_stack([q[..., 0].ravel(), q[..., -1].ravel(), rates.ravel()]).tolist()
     out = Path(out_dir or config.out_dir)
     _write_csv(out / "rate_scan.csv", ["rho", "e", "I"], rows)
     write_manifest(out, config)

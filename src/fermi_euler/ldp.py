@@ -16,8 +16,10 @@ to |xi_mu| <= 1/eta for the number/momentum components and
 eta <= xi_4 <= 1/eta, which leaves I unchanged near the minimum.
 
 The unconstrained sup shares its maximizer with the dual inversion and is
-solved by the same damped Newton; the truncated sup uses projected Newton
-with an active set and a coordinate-search fallback.
+solved by the same damped Newton, one cell at a time (`entropy_s`,
+`rate_I`) or for a whole array of densities at once (`rates`); the
+truncated sup is a projected Newton on the coordinates not held at a bound,
+stopped by the KKT conditions.
 """
 
 from __future__ import annotations
@@ -43,39 +45,39 @@ class RateEvaluation:
     maximizer: MultiplierVector
 
 
-def entropy_s(
-    model: EosModel,
-    q_prime: ConservedVector,
-    initial_guess: MultiplierVector | None = None,
-) -> tuple[float, MultiplierVector]:
+def entropy_s(model: EosModel, q_prime: ConservedVector) -> tuple[float, MultiplierVector]:
     """Legendre entropy s(q') and its maximizer.
 
     The first-order condition of the sup is dual_q(lam) = q', so the
     maximizer is the dual inversion of q'.
     """
-    lam_star = eos.invert_to_multipliers(model, q_prime, initial_guess, rtol=1e-10)
+    lam_star = eos.invert_to_multipliers(model, q_prime)
     s_val = lam_star.pair(q_prime) - eos.pressure_psi(model, lam_star)
     return float(s_val), lam_star
 
 
-def rate_I(
-    model: EosModel,
-    q_prime: ConservedVector,
-    lam: MultiplierVector,
-    initial_guess: MultiplierVector | None = None,
-    psi_lam: float | None = None,
-) -> RateEvaluation:
-    """Rate function I(q', lam) = s(q') + psi(lam) - lam . q'.
-
-    A scan over q' at fixed lam passes psi_lam = psi(lam), evaluated once,
-    and the previous point's maximizer as initial_guess."""
-    s_val, lam_star = entropy_s(model, q_prime, initial_guess)
-    if psi_lam is None:
-        psi_lam = eos.pressure_psi(model, lam)
-    rate = s_val + psi_lam - lam.pair(q_prime)
+def rate_I(model: EosModel, q_prime: ConservedVector, lam: MultiplierVector) -> RateEvaluation:
+    """Rate function I(q', lam) = s(q') + psi(lam) - lam . q'."""
+    s_val, lam_star = entropy_s(model, q_prime)
+    rate = s_val + eos.pressure_psi(model, lam) - lam.pair(q_prime)
     return RateEvaluation(
         q_prime=q_prime, lam=lam, s_value=s_val, rate=float(rate), maximizer=lam_star
     )
+
+
+def rates(model: EosModel, q_prime, lam: MultiplierVector) -> np.ndarray:
+    """I(q', lam) for an array of densities q' (..., d+2), ordered
+    (rho, mom..., e): one batched inversion, one `eos.moments` call at the
+    maximizers and psi(lam) once.  NaN wherever `rate_I` raises: q' outside
+    the dualizable region, or its inversion not converged."""
+    q = np.asarray(q_prime, dtype=float)
+    lam_star, _, converged = eos.invert_cells(model, q)
+    psi_star = np.full(q.shape[:-1], np.nan)
+    psi_star[converged] = eos.moments(model, lam_star[converged])[0]
+    sign = np.ones(model.d + 2)
+    sign[-1] = -1.0  # the signed pairing
+    s_val = np.sum(lam_star * q * sign, axis=-1) - psi_star
+    return s_val + eos.pressure_psi(model, lam) - q @ (lam.as_array() * sign)
 
 
 def rate_I_truncated(
@@ -95,91 +97,62 @@ def rate_I_truncated(
     n = model.d + 2
     lo = np.concatenate([np.full(n - 1, -1.0 / eta), [eta]])
     hi = np.full(n, 1.0 / eta)
+    psi_lam = eos.pressure_psi(model, lam)
 
     # exact branch: unconstrained maximizer strictly inside the box
     try:
         s_free, lam_free = entropy_s(model, q_prime)
         x_free = lam_free.as_array()
         if np.all(x_free > lo + 1e-9) and np.all(x_free < hi - 1e-9):
-            return float(s_free + eos.pressure_psi(model, lam) - lam.pair(q_prime))
+            return float(s_free + psi_lam - lam.pair(q_prime))
         x0 = np.clip(x_free, lo + 1e-9, hi - 1e-9)
     except (NoConvergence, OutOfDomain):
         x0 = np.clip(lam.as_array(), lo + 1e-9, hi - 1e-9)
 
-    s_eta = _box_maximize(model, y, lo, hi, x0)
-    return float(s_eta + eos.pressure_psi(model, lam) - lam.pair(q_prime))
+    s_eta = _box_maximize(model, y, lo, hi, x0)[0]
+    return float(s_eta + psi_lam - lam.pair(q_prime))
 
 
-def _objective(model: EosModel, y: np.ndarray, x: np.ndarray) -> float:
-    return float(x @ y - eos.pressure_psi(model, MultiplierVector.from_array(x)))
+def _box_maximize(model, y, lo, hi, x):
+    """Maximize f(x) = x.y - psi(x) over the box lo <= x <= hi by projected
+    Newton on the coordinates not held at a bound; returns (f, x) at the
+    maximizer.
 
-
-def _box_maximize(model, y, lo, hi, x0, max_iter=100) -> float:
-    """Maximize x.y - psi(x) over the box by projected Newton; falls back to
-    coordinate search if the Newton phase stalls."""
-    x = x0.copy()
-    f_val = _objective(model, y, x)
+    A coordinate is held when it sits at a bound and the gradient y - grad
+    psi pushes it outwards; the KKT conditions hold once the gradient of the
+    others (the projected gradient) is within 1e-11 of |y|.  Each trial point
+    costs one `eos.moments` call, which gives psi, its gradient and its
+    Hessian together.  Raises NoConvergence, with the projected-gradient
+    residual, when the line search cannot raise f while the KKT conditions
+    still fail."""
+    psi, grad_psi, hess = eos.moments(model, x)
+    f_val = x @ y - psi
     edge = 1e-12 * (hi - lo)
-    for _ in range(max_iter):
-        lam_x = MultiplierVector.from_array(x)
-        grad = y - eos.dual_q(model, lam_x).signed()
-        at_lo = x <= lo + edge
-        at_hi = x >= hi - edge
-        # freeze coordinates pinned against their bound by the gradient
-        frozen = (at_lo & (grad < 0)) | (at_hi & (grad > 0))
-        free = ~frozen
-        g_free = grad[free]
-        if g_free.size == 0 or np.max(np.abs(g_free)) < 1e-11 * max(1.0, np.abs(y).max()):
-            return f_val
-        H = eos.hessian_psi(model, lam_x)[np.ix_(free, free)]
-        try:
-            step_free = np.linalg.solve(H, g_free)
-        except np.linalg.LinAlgError:
-            step_free = g_free
+    tol = 1e-11 * max(1.0, np.abs(y).max())
+    for _ in range(100):
+        grad = y - grad_psi
+        held = ((x <= lo + edge) & (grad < 0)) | ((x >= hi - edge) & (grad > 0))
+        free = ~held
+        residual = np.max(np.abs(grad[free]), initial=0.0)
+        if residual <= tol:
+            return f_val, x
         step = np.zeros_like(x)
-        step[free] = step_free
-        improved = False
+        step[free] = np.linalg.solve(hess[np.ix_(free, free)], grad[free])
         t = 1.0
         for _halving in range(50):
             trial = np.clip(x + t * step, lo, hi)
-            f_trial = _objective(model, y, trial)
+            psi, trial_grad, trial_hess = eos.moments(model, trial)
+            f_trial = trial @ y - psi
             if f_trial > f_val:
-                x, f_val = trial, f_trial
-                improved = True
+                x, f_val, grad_psi, hess = trial, f_trial, trial_grad, trial_hess
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-    return _coordinate_search(model, y, lo, hi, x, f_val)
-
-
-def _coordinate_search(model, y, lo, hi, x, f_val, sweeps=60) -> float:
-    """Golden-section sweeps along each coordinate; robust concave fallback."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(sweeps):
-        moved = 0.0
-        for i in range(x.size):
-            a, b = lo[i], hi[i]
-            xa, xb = x.copy(), x.copy()
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            for _g in range(60):
-                xa[i], xb[i] = c, d
-                if _objective(model, y, xa) < _objective(model, y, xb):
-                    a = c
-                else:
-                    b = d
-                c = b - invphi * (b - a)
-                d = a + invphi * (b - a)
-                if b - a < 1e-12 * max(1.0, abs(hi[i])):
-                    break
-            new_xi = 0.5 * (a + b)
-            moved = max(moved, abs(new_xi - x[i]))
-            x[i] = new_xi
-        f_val = _objective(model, y, x)
-        if moved < 1e-12:
-            break
-    return f_val
+    raise NoConvergence(
+        f"box-truncated sup stalled at projected-gradient residual {residual:.3e}",
+        residual=residual,
+    )
 
 
 def hessian_rate(model: EosModel, q_prime: ConservedVector) -> np.ndarray:

@@ -653,8 +653,8 @@ def entropy_production(
     gamma: GaussianState,
     lam_field_of_t: Callable[[float], MultiplierField],
     t: float,
+    spectrum: GibbsSpectrum,
     dt_macro: float = 1e-5,
-    spectrum: GibbsSpectrum | None = None,
 ) -> float:
     """d/dt S(gamma_t | omega_t) for omega_t the local Gibbs state built from
     lam_field_of_t (micro-time argument), evaluated at micro time t:
@@ -666,12 +666,10 @@ def entropy_production(
     dK/dt uses centered differences with macroscopic step dt_macro (the one
     inexact ingredient; everything else is evaluated in closed form).  The
     commutator sign matches the drift-pinned evolution convention.
-    `spectrum` is the GibbsSpectrum of lam_field_of_t(t) when the caller
-    has it already.
+    `spectrum` is the GibbsSpectrum of lam_field_of_t(t), which the caller
+    shares with the relative entropy.
     """
     lat = gamma.lattice
-    if spectrum is None:
-        spectrum = gibbs_spectrum(lam_field_of_t(t))
     k_now = spectrum.khat
     dt_micro = dt_macro / lat.epsilon
     dk_dt = gibbs_exponent(lam_field_of_t(t + dt_micro))
@@ -785,7 +783,13 @@ def load_state(path) -> tuple[GaussianState, float]:
         tag = fh.read(taglen)
         if tag != _CONVENTION:
             raise ValueError(f"{path}: unknown convention tag {tag!r}")
-        packed = np.fromfile(fh, dtype=np.complex128, count=L * (L + 1) // 2)
+        body = fh.read()
+    count = L * (L + 1) // 2
+    if len(body) != 16 * count:
+        raise ValueError(
+            f"{path}: expected {count} packed entries for L = {L}, found {len(body) / 16:g}"
+        )
+    packed = np.frombuffer(body, dtype=np.complex128)
     c = np.zeros((L, L), dtype=complex)
     iu = np.triu_indices(L)
     c[iu] = packed

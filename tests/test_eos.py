@@ -24,7 +24,6 @@ from fermi_euler.eos import (
     invert_to_multipliers,
     moments,
     pressure_psi,
-    rest_pressure,
     tabulate,
     virial_gap,
 )
@@ -329,15 +328,32 @@ class TestKernel:
         with pytest.raises(OutOfDomain, match="cell 117"):
             invert(model, q)
 
-    def test_non_converging_cell_named(self, batch):
+    def test_non_converging_cell_named(self, batch, monkeypatch):
         # the Newton under `invert`, capped at two steps: every other cell
         # starts at its solution, cell 117 far from it
         model, lam, q = batch
         guess = lam.copy()
         guess[117] = [-3.0, 0.0, 40.0]
-        assert np.array_equal(eos._newton(model, q, lam.copy(), 1e-9, 0), lam)
+        monkeypatch.setattr(eos, "_MAX_ITER", 0)
+        assert np.array_equal(eos._newton(model, q, lam.copy())[0], lam)
+        monkeypatch.setattr(eos, "_MAX_ITER", 2)
         with pytest.raises(NoConvergence, match="cell 117"):
-            eos._newton(model, q, guess, 1e-9, 2)
+            invert(model, q, guess)
+
+    def test_invert_cells_masks(self, batch):
+        # the guard and the Newton report per cell where `invert` raises
+        model, lam, q = batch
+        q[3, 1] = np.nan
+        q[50, 0] = -0.1
+        q[117, -1] = 0.9 * energy_floor(model, q[117, 0]) + 0.5 * q[117, 1] ** 2 / q[117, 0]
+        out, inside, converged = eos.invert_cells(model, q)
+        bad = np.zeros(len(q), dtype=bool)
+        bad[[3, 50, 117]] = True
+        assert np.array_equal(inside, ~bad) and np.array_equal(converged, ~bad)
+        assert np.all(np.isnan(out[bad])) and not np.any(np.isnan(out[~bad]))
+        assert np.max(np.abs(out[~bad] - invert(model, q[~bad]))) <= 1e-14 * np.abs(lam).max()
+        with pytest.raises(NonFinite, match="cell 3"):
+            invert(model, q)
 
     def test_non_finite_multipliers_named(self, batch):
         model, lam, _ = batch
@@ -387,22 +403,27 @@ class TestInversion:
             invert_to_multipliers(M1, ConservedVector(rho=0.3, mom=[np.nan], e=0.1))
 
 
+def rest_pressure(rho, eint):
+    """P(rho, e_int) of the direct closure, started cold."""
+    return PressureClosure(M1, None)(rho, eint)
+
+
 class TestRestPressure:
     def test_degenerate_pressure(self):
-        q = ConservedVector(rho=0.318310, mom=[0.0], e=0.053052)
-        assert rest_pressure(M1, q) == pytest.approx(1 / (3 * np.pi), rel=0.01)
+        assert rest_pressure(0.318310, 0.053052) == pytest.approx(1 / (3 * np.pi), rel=0.01)
 
     def test_boost_invariance(self):
+        # the moving-frame inversion gives the rest-frame pressure
         s = 0.7
         rho, eint = 0.3, 0.08
-        q0 = ConservedVector(rho=rho, mom=[0.0], e=eint)
         qb = ConservedVector(rho=rho, mom=[rho * s], e=eint + 0.5 * rho * s**2)
-        assert abs(rest_pressure(M1, q0) - rest_pressure(M1, qb)) < 1e-8
+        lam = invert_to_multipliers(M1, qb)
+        assert lam.alpha[0] == pytest.approx(s, abs=1e-8)
+        assert abs(rest_pressure(rho, eint) - pressure_psi(M1, lam) / lam.beta) < 1e-8
 
     def test_rest_consistency_with_psi(self):
-        q = ConservedVector(rho=0.25, mom=[0.0], e=0.07)
-        lam = eos.rest_multipliers(M1, q)
-        assert abs(rest_pressure(M1, q) - pressure_psi(M1, lam) / lam.beta) < 1e-9
+        lam = invert_to_multipliers(M1, ConservedVector(rho=0.25, mom=[0.0], e=0.07))
+        assert abs(rest_pressure(0.25, 0.07) - pressure_psi(M1, lam) / lam.beta) < 1e-9
 
 
 class TestVirial:
@@ -450,15 +471,13 @@ class TestTable:
     def test_node_exactness(self, table):
         i, j = 11, 29
         rho, eint = table.rho_grid[i], table.eint_grid[j]
-        q = ConservedVector(rho=rho, mom=[0.0], e=eint)
-        assert table.pressure(rho, eint) == pytest.approx(rest_pressure(M1, q), abs=1e-12)
+        assert table.pressure(rho, eint) == pytest.approx(rest_pressure(rho, eint), abs=1e-12)
 
     def test_random_probes(self, table, rng):
-        for _ in range(100):
-            rho = rng.uniform(0.19, 0.35)
-            eint = rng.uniform(0.09, 0.215)
-            direct = rest_pressure(M1, ConservedVector(rho=rho, mom=[0.0], e=eint))
-            assert abs(table.pressure(rho, eint) - direct) / direct < 1e-6
+        rho = rng.uniform(0.19, 0.35, 100)
+        eint = rng.uniform(0.09, 0.215, 100)
+        direct = rest_pressure(rho, eint)
+        assert np.max(np.abs(table.pressure(rho, eint) - direct) / direct) < 1e-6
 
     def test_partials_match_fd(self, table):
         rho, eint = 0.3, 0.15
@@ -476,11 +495,8 @@ class TestTable:
         rho, eint = table.rho_grid[i], table.eint_grid[j]
         h = 2e-5
 
-        def direct(r, e):
-            return rest_pressure(M1, ConservedVector(rho=r, mom=[0.0], e=e))
-
-        fd_r = (direct(rho + h, eint) - direct(rho - h, eint)) / (2 * h)
-        fd_e = (direct(rho, eint + h) - direct(rho, eint - h)) / (2 * h)
+        fd_r = (rest_pressure(rho + h, eint) - rest_pressure(rho - h, eint)) / (2 * h)
+        fd_e = (rest_pressure(rho, eint + h) - rest_pressure(rho, eint - h)) / (2 * h)
         dp_drho, dp_deint = PressureClosure(M1, None).partials(rho, eint)
         # in 1D the virial identity forces P = 2 e_int, so dP/drho vanishes
         # identically and only an absolute comparison is meaningful there

@@ -69,12 +69,28 @@ class TestHelpers:
         vals = 1.3 + 0.4 * np.cos(2 * np.pi * centers) - 0.2 * np.sin(6 * np.pi * centers)
         xs = np.linspace(0.0, 1.0, 97, endpoint=False)
         expect = 1.3 + 0.4 * np.cos(2 * np.pi * xs) - 0.2 * np.sin(6 * np.pi * xs)
-        out = experiments.trig_interp(vals, xs, x_offset=0.5 / n)
+        out = experiments.trig_interp(vals, 97, x_offset=0.5 / n)
         assert np.max(np.abs(out - expect)) < 1e-12
 
     def test_trig_interp_constant(self):
-        out = experiments.trig_interp(np.full(16, 2.5), np.array([0.123, 0.77]), 0.5 / 16)
+        out = experiments.trig_interp(np.full(16, 2.5), 7, 0.5 / 16)
         assert np.max(np.abs(out - 2.5)) < 1e-13
+
+    @pytest.mark.parametrize("n,L", [(256, 512), (256, 2048), (255, 1020), (64, 512),
+                                     (64, 64), (64, 48), (33, 16)])
+    def test_trig_interp_matches_dense_formula(self, n, L, rng):
+        # the interpolant summed mode by mode at every site, the even-n
+        # Nyquist mode as a cosine
+        vals = rng.normal(size=n)
+        offset = 0.5 / n
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        shift = np.arange(L) / L - offset
+        phases = np.exp(2j * np.pi * m[:, None] * shift[None, :])
+        if n % 2 == 0:
+            phases[n // 2] = np.cos(np.pi * n * shift)
+        dense = (np.fft.fft(vals)[:, None] * phases).sum(axis=0).real / n
+        out = experiments.trig_interp(vals, L, offset)
+        assert np.max(np.abs(out - dense)) <= 1e-12
 
     def test_macro_spectral_derivative(self):
         n = 64
@@ -186,7 +202,7 @@ class TestExperiments:
 
         scan = {"beta": 1.0, "mu": 0.0, "points": 5}
         cfg = small_config("rate-scan", tmp_path / "rs", extra={"rate_scan": scan})
-        calls = {"pressure_psi": 0, "default_guess": 0}
+        calls = {"pressure_psi": 0, "invert_cells": 0, "moments": 0, "invert_to_multipliers": 0}
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -199,13 +215,15 @@ class TestExperiments:
             for name in calls:
                 patch.setattr(eos, name, counted(getattr(eos, name)))
             experiments.run_rate_scan(cfg)
-        # one psi per maximizer plus the reference psi(lam); only the first
-        # inversion starts cold, the rest from a neighbour's maximizer
-        assert calls == {"pressure_psi": 26, "default_guess": 1}
+        # one batched inversion and one psi at its maximizers for the whole
+        # grid, and the reference psi(lam) once
+        assert calls == {"pressure_psi": 1, "invert_cells": 1, "moments": 1,
+                         "invert_to_multipliers": 0}
         model = cfg.eos_model()
         lam = eos.MultiplierVector.from_physical(1.0, 0.0, 0.0)
         mom = eos.dual_q(model, lam).mom
         lines = (tmp_path / "rs" / "rate_scan.csv").read_text().splitlines()[1:]
+        assert len(lines) == 25
         for line in lines:
             rho, e, rate = map(float, line.split(","))
             cold = ldp.rate_I(model, eos.ConservedVector(rho=rho, mom=mom, e=e), lam)

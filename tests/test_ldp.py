@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from fermi_euler import eos, ldp
-from fermi_euler.eos import ConservedVector, EosModel, MultiplierVector
+from fermi_euler.eos import BRILLOUIN, UNBOUNDED, ConservedVector, EosModel, MultiplierVector
+from fermi_euler.errors import NoConvergence, OutOfDomain
 
 M1 = EosModel(d=1)
 
@@ -123,6 +124,36 @@ class TestRate:
                 assert gap < 1e-4  # zero only at q' = dual(lam)
 
 
+class TestBatchedRates:
+    # 7 x 7 scans at span 0.9: on both domains the low-e corner crosses the
+    # T = 0 floor; on the Brillouin zone the hot corner also crosses the
+    # beta -> 0+ edge, where the Newton does not converge
+    @pytest.mark.parametrize("domain,beta,mu,alpha,n_no_convergence", [
+        (UNBOUNDED, 10.0, 1.0, 0.4, 0),
+        (BRILLOUIN, 1.0, 0.0, 0.4, 7),
+    ])
+    def test_matches_cold_scalar_rate(self, domain, beta, mu, alpha, n_no_convergence):
+        model = EosModel(d=1, domain=domain, bz_nodes=512)
+        lam = lam_phys(beta, alpha, mu)
+        centre = eos.dual_q(model, lam)
+        fr = np.linspace(0.1, 1.9, 7)
+        q = np.stack(np.broadcast_arrays(fr[:, None] * centre.rho, centre.mom[0],
+                                         fr[None, :] * centre.e), axis=-1)
+        rates = ldp.rates(model, q, lam)
+        assert rates.shape == (7, 7)
+        raised = {NoConvergence: 0, OutOfDomain: 0}
+        for idx in np.ndindex(7, 7):
+            try:
+                cold = ldp.rate_I(model, ConservedVector.from_array(q[idx]), lam).rate
+            except (NoConvergence, OutOfDomain) as err:
+                raised[type(err)] += 1
+                assert np.isnan(rates[idx])
+            else:
+                assert abs(rates[idx] - cold) <= 1e-12
+        assert raised[OutOfDomain] > 0
+        assert raised[NoConvergence] == n_no_convergence
+
+
 class TestTruncatedRate:
     def test_interior_equals_full(self):
         lam = lam_phys(1.0, 0.0, 0.0)
@@ -140,6 +171,23 @@ class TestTruncatedRate:
         full = ldp.rate_I(M1, q_hot, lam_ref).rate
         trunc = ldp.rate_I_truncated(M1, q_hot, lam_ref, eta=0.3)
         assert trunc < full - 1e-6
+
+    def test_active_bound_kkt(self):
+        # lam4 = 0.2 maximizes the free sup, below the eta = 0.3 box: the
+        # lam4 >= eta bound holds with a positive multiplier, and the
+        # gradient vanishes in the free coordinates
+        q_hot = eos.dual_q(M1, lam_phys(0.2, 0.0, -1.0))
+        y = q_hot.signed()
+        lo = np.array([-1 / 0.3, -1 / 0.3, 0.3])
+        hi = np.full(3, 1 / 0.3)
+        x0 = np.clip(ldp.entropy_s(M1, q_hot)[1].as_array(), lo + 1e-9, hi - 1e-9)
+        f_val, x = ldp._box_maximize(M1, y, lo, hi, x0)
+        psi, grad_psi, _ = eos.moments(M1, x)
+        grad = y - grad_psi
+        assert x[-1] == lo[-1] and np.all(x[:-1] > lo[:-1]) and np.all(x[:-1] < hi[:-1])
+        assert np.max(np.abs(grad[:-1])) <= 1e-11
+        assert -grad[-1] > 1e-3  # the multiplier of the active lower bound
+        assert f_val == x @ y - psi
 
     def test_monotone_in_box_size(self):
         q_hot = eos.dual_q(M1, lam_phys(0.2, 0.0, -1.0))

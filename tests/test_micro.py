@@ -537,20 +537,22 @@ class TestEntropyProduction:
         lat = Lattice(64)
         lf = MultiplierField.constant(lat, 2.0, 0.2, 0.1)
         st = evolve(gibbs_gaussian(lat, lf), 1.3)
-        assert abs(entropy_production(st, lambda t: lf, 1.3)) < 1e-8
+        assert abs(entropy_production(st, lambda t: lf, 1.3, micro.gibbs_spectrum(lf))) < 1e-8
 
     def test_zero_at_initial_time(self):
         lat = Lattice(128)
         lam_of_t = self.lam_path(lat)
         st = gibbs_gaussian(lat, lam_of_t(0.0))
-        assert abs(entropy_production(st, lam_of_t, 0.0)) < 1e-6 * lat.L
+        spectrum = micro.gibbs_spectrum(lam_of_t(0.0))
+        assert abs(entropy_production(st, lam_of_t, 0.0, spectrum)) < 1e-6 * lat.L
 
     def test_matches_finite_difference(self):
         lat = Lattice(128)
         lam_of_t = self.lam_path(lat)
         g0 = gibbs_gaussian(lat, lam_of_t(0.0))
         t_eval, h = 0.5, 0.02
-        prod = entropy_production(evolve(g0, t_eval), lam_of_t, t_eval)
+        spectrum = micro.gibbs_spectrum(lam_of_t(t_eval))
+        prod = entropy_production(evolve(g0, t_eval), lam_of_t, t_eval, spectrum)
         s_plus, _ = rel_entropy_gaussian(
             evolve(g0, t_eval + h), gibbs_gaussian(lat, lam_of_t(t_eval + h))
         )
@@ -575,13 +577,14 @@ class TestEntropyProduction:
         c_omega = (vecs / (1.0 + np.exp(-vals))) @ vecs.conj().T
         comm = h1 @ k_now - k_now @ h1
         oracle = np.real(np.trace((-1j * comm - dk) @ gamma.C) + np.trace(dk @ c_omega))
-        assert entropy_production(gamma, lam_of_t, t, dt_macro) == pytest.approx(
+        spectrum = micro.gibbs_spectrum(lam_of_t(t))
+        assert entropy_production(gamma, lam_of_t, t, spectrum, dt_macro) == pytest.approx(
             oracle, abs=1e-11
         )
 
     def test_shared_spectrum_matches_separate_calls(self):
-        # one decomposition of Khat(T) serves the relative entropy (values
-        # only, when called alone) and the production rate (full eigh)
+        # the relative entropy from the shared decomposition of Khat(T)
+        # equals the one that takes the values only, when called alone
         lat = Lattice(128)
         lam_of_t = self.lam_path(lat)
         t = 0.6
@@ -591,9 +594,6 @@ class TestEntropyProduction:
         alone = rel_entropy_gaussian(gamma, lam_of_t(t))
         assert shared[0] == pytest.approx(alone[0], abs=1e-12)
         assert shared[1] == pytest.approx(alone[1], abs=1e-12)
-        assert entropy_production(gamma, lam_of_t, t, spectrum=spectrum) == pytest.approx(
-            entropy_production(gamma, lam_of_t, t), abs=1e-12
-        )
 
 class TestAssumptionChecks:
     def test_moment_finite_and_time_invariant(self):
@@ -668,3 +668,16 @@ class TestSerialization:
         assert back.L == 12
         assert np.max(np.abs(back.chat - st.chat)) < 1e-15
         assert np.max(np.abs(back.C - c)) < 1e-15
+
+    @pytest.mark.parametrize("change,found", [(-16, "found 527"), (8, "found 528.5")])
+    def test_wrong_length_snapshot_rejected(self, tmp_path, change, found):
+        # L = 32 packs 528 entries: a truncated file and one with trailing
+        # bytes both name the path and the two counts
+        lat = Lattice(32)
+        path = tmp_path / "state.bin"
+        save_state(gibbs_gaussian(lat, smooth_field(lat, seed=4)), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        with pytest.raises(ValueError, match=f"state.bin: expected 528 packed entries for "
+                                             f"L = 32, {found}"):
+            load_state(path)
