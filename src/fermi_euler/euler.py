@@ -184,8 +184,9 @@ def wave_speed_bound(
     return np.abs(q.mom) / q.rho + np.sqrt(c2)
 
 
-def _rhs(sol: EulerSolution) -> np.ndarray:
-    """Conservative Rusanov update term -(F_{i+1/2} - F_{i-1/2})/dx on sol.q."""
+def rhs(sol: EulerSolution) -> np.ndarray:
+    """The scheme's semi-discrete right side dq/dT, shape (3, n_cells): the
+    conservative Rusanov update term -(F_{i+1/2} - F_{i-1/2})/dx on sol.q."""
     flux = flux_A(sol.q, sol.pressure)
     speeds = sol.wave_speeds
     s_iface = np.maximum(speeds, np.roll(speeds, -1))
@@ -198,12 +199,12 @@ def _rhs(sol: EulerSolution) -> np.ndarray:
 def step(sol: EulerSolution, dt: float) -> EulerSolution:
     """One Heun (two-stage) step; conserves cell totals to round-off and
     checks the one-phase guard on each stage's state and on the result."""
-    rhs1 = _rhs(sol)
+    rhs1 = rhs(sol)
     dt_max = sol.cfl * sol.grid.dx / max(sol.wave_speeds.max(), 1e-300)
     if dt > dt_max * (1.0 + 1e-12):
         raise CflViolation(f"dt = {dt:.3e} exceeds CFL bound {dt_max:.3e}")
     star = replace(sol, q=ConservedField.from_stack(sol.q.stack() + dt * rhs1))
-    rhs2 = _rhs(star)
+    rhs2 = rhs(star)
     q_new = ConservedField.from_stack(sol.q.stack() + 0.5 * dt * (rhs1 + rhs2))
     _check_one_phase(q_new, sol.closure.model)
     return replace(sol, q=q_new, time=sol.time + dt)

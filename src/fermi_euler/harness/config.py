@@ -39,8 +39,6 @@ class ExperimentConfig:
     n_cells: int = 256
     cfl: float = 0.4
     profile: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_PROFILE)))
-    cutoff_m: float = 2.0
-    cutoff_c: float = 0.5
     eos_domain: str = "brillouin"
     eos_d: int = 1
     bz_nodes: int = 4096

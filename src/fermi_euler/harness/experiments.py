@@ -17,8 +17,9 @@ is exact: the fields of the generator -i (eps_k - eps_q) Chat.
 
 entropy-track follows s(gamma_t | omega^eps_t)/L with omega the local Gibbs
 state of the Euler trajectory's multiplier field at each snapshot (evaluated
-in closed form from its exponent), cross-checked against the closed-form
-entropy production rate.
+in closed form from its exponent), and its production rate d/dt S in closed
+form: the multipliers' rate comes from the Euler scheme's own right side
+through Hess psi, and a centred difference of S in time cross-checks it.
 """
 
 from __future__ import annotations
@@ -241,87 +242,80 @@ class EntropyReport:
     rows: list  # (L, T, t_micro, s_total, s_per_site, production, production_fd)
 
 
+# macroscopic step of the centred difference that cross-checks the production
+FD_STEP = 2e-4
+
+
+def multiplier_rate(sol: euler.EulerSolution, lam: np.ndarray) -> np.ndarray:
+    """dlam/dT per cell (n_cells, 3) of the Euler state sol, whose cell
+    multipliers are lam (n_cells, 3).  The signed densities (rho, mom, -e)
+    are grad psi(lam), so dlam/dT = (Hess psi)^-1 d(rho, mom, -e)/dT, with
+    dq/dT the scheme's own right side and Hess psi from one `eos.moments`."""
+    dy = euler.rhs(sol).T * np.array([1.0, 1.0, -1.0])
+    hess = eos.moments(sol.closure.model, lam)[2]
+    return np.linalg.solve(hess, dy[..., None])[..., 0]
+
+
 def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
     model = config.eos_model()
     closure = config.closure()
     times = sorted(set(float(t) for t in config.times))
-    h_prod = float(config.extra.get("production_step", 1e-5))
-    h_fd = float(config.extra.get("fd_step", 2e-4))
     grid = euler.MacroGrid(config.n_cells)
     q0 = euler.initial_q_field(
         config.profile["kind"], config.profile["params"], grid, model
     )
 
-    # every macroscopic instant the production / fd oracles will ask for
-    needed = set()
-    for t in times:
-        needed.update((t, t + h_prod, t - h_prod))
-        if t > 0.0:
-            needed.update((t + h_fd, t - h_fd, t + h_fd + h_prod, t + h_fd - h_prod,
-                           t - h_fd + h_prod, t - h_fd - h_prod))
-    forward = sorted(t for t in needed if t >= 0.0)
-    backward = sorted(-t for t in needed if t < 0.0)
-    traj = euler.run(q0, forward[-1], grid, closure, cfl=config.cfl, snapshot_times=forward)
-    snapshots = {round(t, 12): traj.at(t) for t in forward}
-    if backward:
-        # time reversal: reflect momentum, run forward, reflect back
-        q0_r = euler.ConservedField(rho=q0.rho, mom=-q0.mom, e=q0.e)
-        traj_b = euler.run(q0_r, backward[-1], grid, closure, cfl=config.cfl,
-                           snapshot_times=backward)
-        for t in backward:
-            q_b = traj_b.at(t)
-            snapshots[round(-t, 12)] = euler.ConservedField(
-                rho=q_b.rho, mom=-q_b.mom, e=q_b.e
-            )
+    # one forward run that stops at each time and at the centred difference's
+    # neighbours, whose step shrinks to T itself for T < FD_STEP
+    steps = {t: min(FD_STEP, t) for t in times if t > 0.0}
+    stops = sorted(set(times) | {t + s * h for t, h in steps.items() for s in (1.0, -1.0)})
+    traj = euler.run(q0, stops[-1], grid, closure, cfl=config.cfl, snapshot_times=stops)
+    # each snapshot's cell multipliers, inverted once for every L, and their
+    # rate at the report times
+    cells = {t: np.stack(euler.lambda_field_of(traj.at(t), model), axis=-1) for t in stops}
+    rates = {
+        t: multiplier_rate(
+            euler.EulerSolution(grid, traj.at(t), t, closure, config.cfl), cells[t]
+        )
+        for t in times
+    }
 
     rows = []
     out = Path(out_dir or config.out_dir)
+    off = 0.5 * grid.dx
     for L in config.l_list:
         lat = Lattice(L)
         X = lat.sites * lat.epsilon
         lam0, lam1, lam4 = lam_sites_from_profile(config.profile, X, model)
         omega0 = micro.gibbs_gaussian(lat, MultiplierField(lat, lam0, lam1, lam4))
-        cache: dict = {}
 
-        def lam_at(t_macro: float, _lat=lat, _cache=cache) -> MultiplierField:
-            key = round(t_macro, 12)
-            if key not in _cache:
-                q_cells = snapshots[key]
-                l0c, l1c, l4c = euler.lambda_field_of(q_cells, model)
-                off = 0.5 * grid.dx
-                _cache[key] = MultiplierField(
-                    _lat,
-                    lam0=trig_interp(l0c, _lat.L, off),
-                    lam1=trig_interp(l1c, _lat.L, off),
-                    lam4=trig_interp(l4c, _lat.L, off),
-                )
-            return _cache[key]
-
-        def lam_of_micro_t(t_micro: float) -> MultiplierField:
-            return lam_at(t_micro * lat.epsilon)
+        def sites(cell_values: np.ndarray) -> list:
+            return [trig_interp(v, L, off) for v in cell_values.T]
 
         def entropy_at(t_macro: float) -> float:
             if t_macro == 0.0:
                 return 0.0  # gamma_0 = omega_0 by construction
             gamma = micro.evolve(omega0, t_macro / lat.epsilon)
-            return micro.rel_entropy_gaussian(gamma, lam_at(t_macro))[0]
+            reference = MultiplierField(lat, *sites(cells[t_macro]))
+            return micro.rel_entropy_gaussian(gamma, reference)[0]
 
         for t_macro in times:
             t_micro = t_macro / lat.epsilon
             gamma = omega0 if t_macro == 0.0 else micro.evolve(omega0, t_micro)
-            # the reference at T > 0 is the local Gibbs state of lam_at(T),
-            # evaluated in closed form from its exponent, whose spectrum the
-            # entropy and the production rate share
-            spectrum = micro.gibbs_spectrum(lam_at(t_macro))
+            # the reference at T > 0 is the local Gibbs state of the Euler
+            # multipliers at T, evaluated in closed form from its exponent,
+            # whose spectrum the entropy and the production rate share
+            spectrum = micro.gibbs_spectrum(MultiplierField(lat, *sites(cells[t_macro])))
             omega_t = omega0 if t_macro == 0.0 else spectrum
             s_tot, s_site = micro.rel_entropy_gaussian(gamma, omega_t)
-            production = micro.entropy_production(
-                gamma, lam_of_micro_t, t_micro, dt_macro=h_prod, spectrum=spectrum
-            )
+            # micro time t = T/epsilon, so dlam/dt = epsilon dlam/dT
+            lam_rate = [lat.epsilon * r for r in sites(rates[t_macro])]
+            production = micro.entropy_production(gamma, spectrum, lam_rate)
             if t_macro > 0.0:
-                s_up = entropy_at(t_macro + h_fd)
-                s_dn = entropy_at(t_macro - h_fd)
-                production_fd = (s_up - s_dn) / (2.0 * h_fd) * lat.epsilon
+                h = steps[t_macro]
+                s_up = entropy_at(t_macro + h)
+                s_dn = entropy_at(t_macro - h)
+                production_fd = (s_up - s_dn) / (2.0 * h) * lat.epsilon
             else:
                 production_fd = float("nan")
             rows.append((L, t_macro, t_micro, s_tot, s_site, production, production_fd))

@@ -32,7 +32,9 @@ tests: a state of positive momentum drifts toward larger x).
 Also here: the smooth high-momentum cutoff filter, the partition-of-unity
 coarse-graining window, the quasi-free relative entropy (in closed form
 against a local Gibbs reference) and its production rate along the
-evolution, and the cutoff/moment assumption checks.
+evolution against a moving reference, given the rate of its multipliers
+(closed form too: Khat is linear in the fields), and the cutoff/moment
+assumption checks.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -93,10 +94,6 @@ class Lattice:
     def momenta(self) -> np.ndarray:
         """FFT-index-ordered momenta 2*pi*k/L in (-pi, pi], Nyquist at +pi."""
         return brillouin_momenta(self.L)
-
-    @property
-    def nyquist_index(self) -> int | None:
-        return self.L // 2 if self.L % 2 == 0 else None
 
     @cached_property
     def dispersion(self) -> np.ndarray:
@@ -249,10 +246,6 @@ class GaussianState:
         """Position-space C = W+ Chat W, for snapshots and dense oracles."""
         return to_position(self.chat)
 
-    @property
-    def total_number(self) -> float:
-        return float(np.trace(self.chat).real)
-
     def occupations(self) -> np.ndarray:
         """Momentum-mode occupations N_k (FFT index order)."""
         return np.einsum("kk->k", self.chat).real
@@ -297,17 +290,6 @@ class MultiplierField:
     def constant(cls, lattice: Lattice, beta: float, alpha: float, mu: float):
         ones = np.ones(lattice.L)
         return cls(lattice, lam0=beta * mu * ones, lam1=beta * alpha * ones, lam4=beta * ones)
-
-    @classmethod
-    def from_profiles(cls, lattice: Lattice, lam0_fn, lam1_fn, lam4_fn):
-        """Sample macroscopic profiles lam(X) at X = epsilon * x."""
-        X = lattice.sites * lattice.epsilon
-        return cls(
-            lattice,
-            lam0=np.asarray(lam0_fn(X), dtype=float) * np.ones(lattice.L),
-            lam1=np.asarray(lam1_fn(X), dtype=float) * np.ones(lattice.L),
-            lam4=np.asarray(lam4_fn(X), dtype=float) * np.ones(lattice.L),
-        )
 
 
 @dataclass(frozen=True)
@@ -354,11 +336,14 @@ def gibbs_exponent(lam_field: MultiplierField) -> np.ndarray:
     mod L.  For constant multipliers Khat is diagonal with symbol
     lam0 + lam1 p - lam4 p^2 / 2.
     """
-    p = lam_field.lattice.momenta
-    lam0, lam1, lam4 = (
-        _circulant(np.fft.fft(f) / f.size)
-        for f in (lam_field.lam0, lam_field.lam1, lam_field.lam4)
-    )
+    return _exponent(lam_field.lattice, lam_field.lam0, lam_field.lam1, lam_field.lam4)
+
+
+def _exponent(lattice: Lattice, lam0, lam1, lam4) -> np.ndarray:
+    """The Khat of `gibbs_exponent` for three per-site arrays: a linear map,
+    with no sign condition on lam4, so it also takes a rate of multipliers."""
+    p = lattice.momenta
+    lam0, lam1, lam4 = (_circulant(np.fft.fft(f) / f.size) for f in (lam0, lam1, lam4))
     khat = lam4 * (-0.5 * p)
     khat += 0.5 * lam1
     khat *= p[:, None]
@@ -649,32 +634,27 @@ def rel_entropy_gaussian(
     return total, total / gamma.L
 
 
-def entropy_production(
-    gamma: GaussianState,
-    lam_field_of_t: Callable[[float], MultiplierField],
-    t: float,
-    spectrum: GibbsSpectrum,
-    dt_macro: float = 1e-5,
-) -> float:
-    """d/dt S(gamma_t | omega_t) for omega_t the local Gibbs state built from
-    lam_field_of_t (micro-time argument), evaluated at micro time t:
+def entropy_production(gamma: GaussianState, spectrum: GibbsSpectrum, lam_rate) -> float:
+    """d/dt S(gamma_t | omega_t) for omega_t the local Gibbs state of a
+    moving multiplier field, at the instant where `spectrum` is the
+    GibbsSpectrum of that field (the caller shares it with the relative
+    entropy) and lam_rate = (dlam0/dt, dlam1/dt, dlam4/dt) its per-site rate
+    in micro time:
 
         dS/dt = tr(C_gamma (-i[h1, K_t] - dK_t/dt)) + tr(dK_t/dt C_omega).
 
     In the momentum basis h1 is diagonal, so the commutator is the
     elementwise (eps_k - eps_q) Khat_t and every trace is an elementwise sum.
-    dK/dt uses centered differences with macroscopic step dt_macro (the one
-    inexact ingredient; everything else is evaluated in closed form).  The
+    Khat is linear in the fields, so dK/dt is the exponent of lam_rate.  The
     commutator sign matches the drift-pinned evolution convention.
-    `spectrum` is the GibbsSpectrum of lam_field_of_t(t), which the caller
-    shares with the relative entropy.
     """
     lat = gamma.lattice
+    rate = np.asarray(lam_rate, dtype=float)
+    if rate.shape != (3, lat.L):
+        raise ValueError(f"lam_rate of shape {rate.shape}: need three arrays of {lat.L} sites")
+    _require_finite(rate, "lam_rate")
     k_now = spectrum.khat
-    dt_micro = dt_macro / lat.epsilon
-    dk_dt = gibbs_exponent(lam_field_of_t(t + dt_micro))
-    dk_dt -= gibbs_exponent(lam_field_of_t(t - dt_micro))
-    dk_dt /= 2.0 * dt_micro
+    dk_dt = _exponent(lat, *rate)
 
     eps = lat.dispersion
     comm = (eps[:, None] - eps[None, :]) * k_now

@@ -483,8 +483,25 @@ class TestTable:
         rho, eint = 0.3, 0.15
         dpr, dpe = table.partials(rho, eint)
         h = 1e-5
+        fd_e = (table.pressure(rho, eint + h) - table.pressure(rho, eint - h)) / (2 * h)
+        # the 1D virial P = 2 e_int makes dP/drho identically 0 on the
+        # unbounded domain (a central difference of P in rho is rounding
+        # only), so the spline's slope is held to 0: 2.7e-13 here
+        assert dpr == pytest.approx(0.0, abs=1e-12)
+        assert dpe == pytest.approx(fd_e, rel=1e-5)
+
+    def test_partials_match_fd_brillouin(self):
+        # on the Brillouin zone both partials are nonzero (dP/drho = -4.1e-4
+        # here); the spline is cubic in each cell, so the central difference
+        # is off by h^2 P'''/6: 1.0e-7 and 4.5e-10 relative at this h
+        table = tabulate(EosModel(d=1, domain=BRILLOUIN, bz_nodes=512),
+                         (0.15, 0.21), (0.035, 0.065), resolution=(16, 16))
+        rho, eint = 0.18, 0.05
+        dpr, dpe = table.partials(rho, eint)
+        h = 1e-5
         fd_r = (table.pressure(rho + h, eint) - table.pressure(rho - h, eint)) / (2 * h)
         fd_e = (table.pressure(rho, eint + h) - table.pressure(rho, eint - h)) / (2 * h)
+        assert abs(dpr) > 1e-4
         assert dpr == pytest.approx(fd_r, rel=1e-5)
         assert dpe == pytest.approx(fd_e, rel=1e-5)
 

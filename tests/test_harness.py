@@ -165,6 +165,53 @@ class TestExperiments:
         report = experiments.run_entropy_track(cfg)
         assert all(abs(r[3]) < 1e-10 for r in report.rows)  # s(t) = 0 throughout
 
+    def test_multiplier_rate_matches_centred_difference(self):
+        # the cell rate from the scheme's right side against a centred
+        # difference of the inverted multipliers across two Heun steps of h;
+        # the gap is second order in h: 1.9e-7 at h = 1e-4, 2.7e-9 at 1e-5
+        # (relative to each component's largest |rate|)
+        from fermi_euler import euler
+
+        cfg = small_config("entropy-track", "unused")
+        model, closure = cfg.eos_model(), cfg.closure()
+        grid = euler.MacroGrid(cfg.n_cells)
+        q0 = euler.initial_q_field(cfg.profile["kind"], cfg.profile["params"], grid, model)
+        t, h = 0.01, 1e-5
+        traj = euler.run(q0, t + h, grid, closure, snapshot_times=[t - h, t, t + h])
+        lam = {s: np.stack(euler.lambda_field_of(traj.at(s), model), axis=-1)
+               for s in (t - h, t, t + h)}
+        fd = (lam[t + h] - lam[t - h]) / (2 * h)
+        rate = experiments.multiplier_rate(
+            euler.EulerSolution(grid, traj.at(t), t, closure), lam[t]
+        )
+        scale = np.abs(rate).max(axis=0)
+        assert np.all(np.abs(rate - fd).max(axis=0) <= 1e-8 * scale)
+
+    def test_entropy_track_inverts_each_snapshot_once(self, tmp_path, monkeypatch):
+        from fermi_euler import euler
+
+        inverted = []
+        lambda_field_of = euler.lambda_field_of
+
+        def counted(qfield, model):
+            inverted.append(qfield)
+            return lambda_field_of(qfield, model)
+
+        monkeypatch.setattr(euler, "lambda_field_of", counted)
+        cfg = small_config("entropy-track", tmp_path / "e", times=[0.0, 0.005, 0.01])
+        experiments.run_entropy_track(cfg)
+        # T = 0, 0.005, 0.01 and the difference's neighbours T +- 2e-4, for
+        # both L
+        assert len(inverted) == 7
+        assert len({id(q) for q in inverted}) == 7
+
+    def test_entropy_track_time_below_difference_step(self, tmp_path):
+        # for T < 2e-4 the centred difference's step is T itself, so the run
+        # needs no negative time; the gap is 1.7e-4 at T = 1e-4 (S = 8.4e-9)
+        cfg = small_config("entropy-track", tmp_path / "e", l_list=[64], times=[0.0, 1e-4])
+        row = experiments.run_entropy_track(cfg).rows[1]
+        assert row[6] == pytest.approx(row[5], rel=1e-3)
+
     def test_euler_run_outputs(self, tmp_path):
         cfg = small_config("euler-run", tmp_path / "er")
         experiments.run_euler(cfg)

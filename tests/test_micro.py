@@ -72,12 +72,12 @@ def dense_momentum_op(L):
     return (w.conj().T * Lattice(L).momenta) @ w
 
 
-def dense_exponent(lf):
+def dense_exponent(lam0, lam1, lam4):
     """Position-space K = L0 + (L1 P + P L1)/2 - P L4 P / 2 by dense products."""
-    p_op = dense_momentum_op(lf.lattice.L)
-    k = np.diag(lf.lam0).astype(complex)
-    k += 0.5 * (lf.lam1[:, None] * p_op + p_op * lf.lam1[None, :])
-    k -= 0.5 * (p_op @ (lf.lam4[:, None] * p_op))
+    p_op = dense_momentum_op(lam0.size)
+    k = np.diag(lam0).astype(complex)
+    k += 0.5 * (lam1[:, None] * p_op + p_op * lam1[None, :])
+    k -= 0.5 * (p_op @ (lam4[:, None] * p_op))
     return 0.5 * (k + k.conj().T)
 
 
@@ -154,7 +154,7 @@ class TestGibbs:
         lat = Lattice(L)
         lf = smooth_field(lat, seed=7, amp=0.3)
         w = dft_matrix(L)
-        oracle = w @ dense_exponent(lf) @ w.conj().T
+        oracle = w @ dense_exponent(lf.lam0, lf.lam1, lf.lam4) @ w.conj().T
         assert np.max(np.abs(gibbs_exponent(lf) - oracle)) < 1e-12
 
     def test_exponent_of_constant_field_is_diagonal_symbol(self):
@@ -521,9 +521,12 @@ class TestRelEntropy:
 class TestEntropyProduction:
     @staticmethod
     def lam_path(lat):
+        """A moving multiplier field of micro time and its closed-form rate
+        (dlam0/dt, dlam1/dt, dlam4/dt), with macro time T = epsilon t."""
+        X = lat.sites * lat.epsilon
+
         def lam_of_t(t_micro):
             T = t_micro * lat.epsilon
-            X = lat.sites * lat.epsilon
             return MultiplierField(
                 lat,
                 lam0=0.3 + 0.1 * np.cos(2 * np.pi * (X - 0.2 * T)),
@@ -531,28 +534,37 @@ class TestEntropyProduction:
                 lam4=2.5 + 0.3 * np.cos(2 * np.pi * X + 0.5 + 0.8 * T),
             )
 
-        return lam_of_t
+        def rate_of_t(t_micro):
+            T = t_micro * lat.epsilon
+            return lat.epsilon * np.stack([
+                0.1 * 0.4 * np.pi * np.sin(2 * np.pi * (X - 0.2 * T)),
+                np.zeros(lat.L),
+                -0.3 * 0.8 * np.sin(2 * np.pi * X + 0.5 + 0.8 * T),
+            ])
+
+        return lam_of_t, rate_of_t
 
     def test_stationary_reference(self):
         lat = Lattice(64)
         lf = MultiplierField.constant(lat, 2.0, 0.2, 0.1)
         st = evolve(gibbs_gaussian(lat, lf), 1.3)
-        assert abs(entropy_production(st, lambda t: lf, 1.3, micro.gibbs_spectrum(lf))) < 1e-8
+        rate = np.zeros((3, lat.L))
+        assert abs(entropy_production(st, micro.gibbs_spectrum(lf), rate)) < 1e-8
 
     def test_zero_at_initial_time(self):
         lat = Lattice(128)
-        lam_of_t = self.lam_path(lat)
+        lam_of_t, rate_of_t = self.lam_path(lat)
         st = gibbs_gaussian(lat, lam_of_t(0.0))
         spectrum = micro.gibbs_spectrum(lam_of_t(0.0))
-        assert abs(entropy_production(st, lam_of_t, 0.0, spectrum)) < 1e-6 * lat.L
+        assert abs(entropy_production(st, spectrum, rate_of_t(0.0))) < 1e-6 * lat.L
 
     def test_matches_finite_difference(self):
         lat = Lattice(128)
-        lam_of_t = self.lam_path(lat)
+        lam_of_t, rate_of_t = self.lam_path(lat)
         g0 = gibbs_gaussian(lat, lam_of_t(0.0))
         t_eval, h = 0.5, 0.02
         spectrum = micro.gibbs_spectrum(lam_of_t(t_eval))
-        prod = entropy_production(evolve(g0, t_eval), lam_of_t, t_eval, spectrum)
+        prod = entropy_production(evolve(g0, t_eval), spectrum, rate_of_t(t_eval))
         s_plus, _ = rel_entropy_gaussian(
             evolve(g0, t_eval + h), gibbs_gaussian(lat, lam_of_t(t_eval + h))
         )
@@ -562,31 +574,41 @@ class TestEntropyProduction:
         fd = (s_plus - s_minus) / (2 * h)
         assert prod == pytest.approx(fd, rel=1e-4)
 
-
     def test_against_dense_formula(self):
         lat = Lattice(32)
-        lam_of_t = self.lam_path(lat)
+        lam_of_t, rate_of_t = self.lam_path(lat)
         gamma = evolve(gibbs_gaussian(lat, lam_of_t(0.0)), 0.8)
-        t, dt_macro = 0.8, 1e-5
-        dt = dt_macro / lat.epsilon
-        k_now = dense_exponent(lam_of_t(t))
-        dk = (dense_exponent(lam_of_t(t + dt)) - dense_exponent(lam_of_t(t - dt))) / (2 * dt)
+        t = 0.8
+        lf = lam_of_t(t)
+        k_now = dense_exponent(lf.lam0, lf.lam1, lf.lam4)
+        dk = dense_exponent(*rate_of_t(t))
         w = dft_matrix(32)
         h1 = (w.conj().T * lat.dispersion) @ w
         vals, vecs = np.linalg.eigh(k_now)
         c_omega = (vecs / (1.0 + np.exp(-vals))) @ vecs.conj().T
         comm = h1 @ k_now - k_now @ h1
         oracle = np.real(np.trace((-1j * comm - dk) @ gamma.C) + np.trace(dk @ c_omega))
-        spectrum = micro.gibbs_spectrum(lam_of_t(t))
-        assert entropy_production(gamma, lam_of_t, t, spectrum, dt_macro) == pytest.approx(
+        spectrum = micro.gibbs_spectrum(lf)
+        assert entropy_production(gamma, spectrum, rate_of_t(t)) == pytest.approx(
             oracle, abs=1e-11
         )
+
+    def test_rate_of_wrong_shape_or_non_finite_rejected(self):
+        lat = Lattice(16)
+        lf = MultiplierField.constant(lat, 2.0, 0.2, 0.1)
+        st, spectrum = gibbs_gaussian(lat, lf), micro.gibbs_spectrum(lf)
+        with pytest.raises(ValueError, match="three arrays of 16 sites"):
+            entropy_production(st, spectrum, np.zeros((3, 8)))
+        rate = np.zeros((3, lat.L))
+        rate[2, 5] = np.nan
+        with pytest.raises(NonFinite, match=r"\(2, 5\)"):
+            entropy_production(st, spectrum, rate)
 
     def test_shared_spectrum_matches_separate_calls(self):
         # the relative entropy from the shared decomposition of Khat(T)
         # equals the one that takes the values only, when called alone
         lat = Lattice(128)
-        lam_of_t = self.lam_path(lat)
+        lam_of_t, _ = self.lam_path(lat)
         t = 0.6
         gamma = evolve(gibbs_gaussian(lat, lam_of_t(0.0)), t)
         spectrum = micro.gibbs_spectrum(lam_of_t(t))
