@@ -20,8 +20,8 @@ from scipy.special import expit
 
 from .. import entropy, eos, euler, ldp, micro
 from ..micro import Lattice, MultiplierField
-from .config import ExperimentConfig, write_manifest
-from .experiments import run_entropy_track, run_hydro_compare
+from .config import DEFAULT_PROFILE, ExperimentConfig, write_manifest
+from .experiments import lam_sites_from_profile, run_entropy_track, run_hydro_compare
 
 M1_UNBOUNDED = eos.EosModel(d=1, domain=eos.UNBOUNDED)
 
@@ -423,6 +423,26 @@ def check_micro_window(rng, tol):
     ]
 
 
+def check_micro_chebyshev(rng, tol):
+    """The banded Chebyshev build of the local Gibbs state against a dense
+    eigendecomposition, on the lambda-cos default profile and three random
+    smooth fields at L = 256."""
+    lat = Lattice(256)
+    model = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=4096)
+    lam = lam_sites_from_profile(DEFAULT_PROFILE, lat.sites * lat.epsilon, model)
+    fields = [MultiplierField(lat, *lam)]
+    fields += [_smooth_field(lat, rng) for _ in range(3)]
+    worst = 0.0
+    for lf in fields:
+        st = micro.gibbs_chebyshev(lf)
+        kappa, vecs = np.linalg.eigh(micro.gibbs_exponent(lf))
+        chat = (vecs * expit(kappa)) @ vecs.conj().T
+        s_vn = float(np.sum(np.logaddexp(0.0, kappa) - kappa * expit(kappa)))
+        worst = max(worst, float(np.max(np.abs(st.chat - chat))), abs(st.s_vn / s_vn - 1.0))
+    return [_res("micro.gibbs_chebyshev_vs_dense", worst, tol("chebyshev", 1e-12),
+                 note="max |dChat| and relative |dS_vN|, L = 256, lambda-cos + 3 smooth")]
+
+
 # ---------------------------------------------------------------------------
 # euler
 # ---------------------------------------------------------------------------
@@ -557,6 +577,7 @@ REGISTRY = {
     "micro_expectations": check_micro_expectations,
     "micro_boost": check_micro_boost,
     "micro_window": check_micro_window,
+    "micro_chebyshev": check_micro_chebyshev,
     "euler_conservation": check_euler_conservation,
     "euler_convergence": check_euler_convergence,
     "hydro_trend": check_hydro_trend,

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .. import eos, euler, ldp, micro
 from ..micro import GaussianState, Lattice, MultiplierField
@@ -49,20 +48,16 @@ COMPONENTS = ("n", "p", "h")
 
 
 def bz_dual_fields(model: eos.EosModel, lam0, lam1, lam4):
-    """Vectorized Brillouin-zone dual map over per-site multiplier arrays."""
-    p = eos.brillouin_momenta(model.bz_nodes)
-    g = lam0[None, :] + p[:, None] * lam1[None, :] - 0.5 * lam4[None, :] * p[:, None] ** 2
-    f = expit(g)
-    rho = f.mean(axis=0)
-    mom = (p[:, None] * f).mean(axis=0)
-    e = (0.5 * p[:, None] ** 2 * f).mean(axis=0)
-    return rho, mom, e
+    """Brillouin-zone dual map (rho, mom, e) over per-site multiplier arrays,
+    by one `eos.moments` over all sites."""
+    signed = eos.moments(model, np.stack([lam0, lam1, lam4], axis=-1))[1]
+    return signed[:, 0], signed[:, 1], -signed[:, 2]
 
 
 def bz_pressure_field(model: eos.EosModel, lam0, lam1, lam4):
-    p = eos.brillouin_momenta(model.bz_nodes)
-    g = lam0[None, :] + p[:, None] * lam1[None, :] - 0.5 * lam4[None, :] * p[:, None] ** 2
-    return np.logaddexp(0.0, g).mean(axis=0) / lam4
+    """Brillouin-zone pressure P = psi / lam4 over per-site multiplier
+    arrays, by one `eos.moments` over all sites."""
+    return eos.moments(model, np.stack([lam0, lam1, lam4], axis=-1))[0] / lam4
 
 
 def trig_interp(values: np.ndarray, L: int, x_offset: float) -> np.ndarray:

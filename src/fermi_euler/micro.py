@@ -24,7 +24,13 @@ identity check in the test suite sharp.
 Local Gibbs states carry slowly varying multiplier fields: the one-particle
 exponent is K = L0 + (L1 P + P L1)/2 - D+ L4 D / 2 with L^mu = diag(lam^mu),
 built directly as Khat from the Fourier coefficients of the three fields,
-and Chat = (1 + exp(-Khat))^-1.  Time evolution is the exact conjugation by
+and Chat = (1 + exp(-Khat))^-1.  Khat has one wrapped diagonal per Fourier
+mode of the fields above round-off (2 w_K + 1 in all), so `gibbs_gaussian`
+builds Chat and its entropy from Chebyshev series of the Fermi function and
+of the mode entropy, run as a three-term recurrence on wrapped diagonals
+(a Fermi-operator expansion, O(L n^2 w_K^2) for degree n), and falls back
+to a dense eigendecomposition of Khat where that is cheaper; Chat is then
+stored dense.  Time evolution is the exact conjugation by
 exp(-i t h1), h1 = -Laplacian/2, an elementwise phase
 e^{-i t eps_k} e^{+i t eps_q} on Chat (sign pinned by the drift check in the
 tests: a state of positive momentum drifts toward larger x).
@@ -65,6 +71,14 @@ logger = logging.getLogger(__name__)
 SPECTRUM_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_CLIP = 1e-12
+# the local Gibbs build's round-off floor, tolerance and crossover: see
+# `gibbs_gaussian`
+MODE_FLOOR = 4.0
+CHEB_TOL = 1e-14
+CHEB_CROSSOVER = 0.1
+# the coefficients' round-off, ~3e-18 each, summed over the >= n past a
+# degree n much above this would reach CHEB_TOL
+CHEB_MAX_DEGREE = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +191,16 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mode_entropy(kappa: np.ndarray) -> float:
-    """sum_j -n log n - (1 - n) log(1 - n) at n = 1/(1 + e^{-kappa_j});
-    each term is even in kappa, evaluated without cancellation."""
+def _mode_entropy_terms(kappa: np.ndarray) -> np.ndarray:
+    """-n log n - (1 - n) log(1 - n) at n = 1/(1 + e^{-kappa}), which is
+    softplus(kappa) - kappa expit(kappa); even in kappa, evaluated without
+    cancellation."""
     a = np.abs(kappa)
-    return float(np.sum(np.log1p(np.exp(-a)) + a * expit(-a)))
+    return np.log1p(np.exp(-a)) + a * expit(-a)
+
+
+def _mode_entropy(kappa: np.ndarray) -> float:
+    return float(np.sum(_mode_entropy_terms(kappa)))
 
 
 def spectral_derivative(field_values: np.ndarray, lattice: Lattice, order: int = 1) -> np.ndarray:
@@ -343,20 +362,211 @@ def _exponent(lattice: Lattice, lam0, lam1, lam4) -> np.ndarray:
     """The Khat of `gibbs_exponent` for three per-site arrays: a linear map,
     with no sign condition on lam4, so it also takes a rate of multipliers."""
     p = lattice.momenta
-    lam0, lam1, lam4 = (_circulant(np.fft.fft(f) / f.size) for f in (lam0, lam1, lam4))
-    khat = lam4 * (-0.5 * p)
-    khat += 0.5 * lam1
-    khat *= p[:, None]
-    khat += lam1 * (0.5 * p)
-    khat += lam0
-    return khat
+    lam0, lam1, lam4 = (_circulant(m) for m in _field_modes(lam0, lam1, lam4))
+    return _exponent_entries(lam0, lam1, lam4, p[:, None], p)
+
+
+def _field_modes(lam0, lam1, lam4) -> list:
+    """Fourier amplitudes lamhat[m] = (1/L) sum_x lam(x) e^{-2 pi i m x / L}."""
+    return [np.fft.fft(f) / f.size for f in (lam0, lam1, lam4)]
+
+
+def _exponent_entries(l0, l1, l4, p_k, p_q) -> np.ndarray:
+    """lam0hat + lam1hat (p_k + p_q)/2 - p_k p_q lam4hat/2 elementwise, with
+    each lamhat taken at k - q: the one formula for Khat's entries, in
+    whatever layout the broadcast arguments give (dense or wrapped
+    diagonals)."""
+    out = l4 * (-0.5 * p_q)
+    out += 0.5 * l1
+    out *= p_k
+    out += l1 * (0.5 * p_q)
+    out += l0
+    return out
+
+
+def _exponent_diagonals(lattice: Lattice, modes: list, w: int) -> np.ndarray:
+    """Wrapped diagonals D[w + j, k] = Khat[k, (k + j) mod L], |j| <= w, from
+    the amplitudes lamhat[-j] of the three fields (k - q = -j)."""
+    L = lattice.L
+    j = np.arange(-w, w + 1)
+    l0, l1, l4 = (m[-j][:, None] for m in modes)
+    p = lattice.momenta
+    return _exponent_entries(l0, l1, l4, p, p[(np.arange(L) + j[:, None]) % L])
+
+
+def _exponent_width(modes: list, lam_max: float) -> int:
+    """w_K: the largest |m| at which some field's amplitude exceeds
+    MODE_FLOOR * eps * lam_max, the FFT round-off floor (lam_max = max|lam|
+    over the three fields)."""
+    L = modes[0].size
+    floor = MODE_FLOOR * np.finfo(float).eps * lam_max
+    above = np.max(np.abs(np.stack(modes)), axis=0) > floor
+    order = np.minimum(np.arange(L), L - np.arange(L))  # |m| of FFT index m
+    return int(np.max(order[above], initial=0))
+
+
+def _chebyshev_coefficients(f, size: int) -> np.ndarray:
+    """Coefficients c_0..c_{size-1} in T_m of the interpolant of f at the
+    Chebyshev points x_j = cos(pi (j + 1/2) / size): a DCT-II of the samples,
+    by one FFT of their even extension.  (numpy's `chebinterpolate` builds
+    T_m(x_j) by the recurrence and leaves ~1e-15 of round-off in every
+    coefficient, more than the tail sums the degree is chosen by.)"""
+    y = f(np.cos(np.pi * (np.arange(size) + 0.5) / size))
+    spec = np.fft.fft(np.concatenate((y, y[::-1])))[:size]
+    coef = (np.exp(-0.5j * np.pi * np.arange(size) / size) * spec).real / size
+    coef[0] *= 0.5
+    return coef
+
+
+def _chebyshev_series(a: float, b: float, max_degree: float):
+    """Chebyshev coefficients, on [a, b], of expit and of the mode entropy
+    softplus(x) - x expit(x), cut at the smallest degree n at which both
+    dropped-coefficient sums are below CHEB_TOL, with that sum; None when n
+    would pass max_degree.  The coefficients come from interpolants at
+    2 n points or more, whose own coefficients past n are in the sums."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    size = 64
+    while True:
+        coef = [_chebyshev_coefficients(lambda t: f(mid + half * t), size)
+                for f in (expit, _mode_entropy_terms)]
+        # dropped[n] = sum_{m > n} |c_m|, the larger of the two series
+        dropped = np.max([np.cumsum(np.abs(c[::-1]))[::-1] for c in coef], axis=0)
+        dropped = np.append(dropped[1:], 0.0)
+        n = int(np.argmax(dropped < CHEB_TOL))
+        if 2 * n <= size:
+            if n > max_degree:
+                return None
+            return coef[0][: n + 1], coef[1][: n + 1], float(dropped[n])
+        if size >= 2 * max_degree:
+            return None
+        size *= 2
+
+
+def _chebyshev_multiplies(n: int, w: int, L: int) -> int:
+    """Complex multiplies of the n-step recurrence, to leading order: step m
+    multiplies a band of 2 m w + 1 diagonals by each of K's 2 w + 1, and
+    adds it to Chat."""
+    return (2 * w + 1) * L * (w * n * (n + 1) + n)
+
+
+def _chebyshev_plan(lam_field: MultiplierField, max_multiplies: float):
+    """The recurrence's inputs for lam_field: Khat's wrapped diagonals, the
+    two cut series and the interval [a, b] from Gershgorin row sums that
+    holds Khat's spectrum.  None when Khat's modes alias (2 w_K >= L), when
+    the degree passes CHEB_MAX_DEGREE, or when the recurrence would take
+    max_multiplies or more."""
+    lattice = lam_field.lattice
+    L = lattice.L
+    fields = (lam_field.lam0, lam_field.lam1, lam_field.lam4)
+    modes = _field_modes(*fields)
+    w = _exponent_width(modes, max(float(np.max(np.abs(f))) for f in fields))
+    if 2 * w >= L:
+        return None
+    diag = _exponent_diagonals(lattice, modes, w)
+    radius = np.sum(np.abs(diag), axis=0) - np.abs(diag[w])
+    a, b = float(np.min(diag[w].real - radius)), float(np.max(diag[w].real + radius))
+    max_degree = min(CHEB_MAX_DEGREE, np.sqrt(max_multiplies / ((2 * w + 1) * L * max(w, 1))))
+    series = _chebyshev_series(a, b, max_degree)
+    if series is None or _chebyshev_multiplies(len(series[0]) - 1, w, L) >= max_multiplies:
+        return None
+    return diag, series[0], series[1], a, b
+
+
+def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: float, b: float):
+    """(Chat, S_vN) = (expit(Khat), tr h(Khat)) from the Chebyshev series on
+    [a, b] and Khat's 2 w + 1 wrapped diagonals `diag`.
+
+    T_{m+1} = 2 Kt T_m - T_{m-1} with Kt = (2 Khat - a - b)/(b - a) is run on
+    wrapped diagonals: row k of the product's diagonal i + o gets
+    Kt[k, k+i] T_m[k+i, k+i+o], an elementwise product with a shifted
+    diagonal, and the band grows by w a step, with nothing dropped.  Offsets
+    are not reduced mod L: the band is that of the periodic lift of Khat to
+    the infinite chain, which folds back onto Khat's wrapped diagonals at
+    the end, so a band wider than L needs no special case."""
+    L = lattice.L
+    w = (diag.shape[0] - 1) // 2
+    n = len(coef_f) - 1
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    k_t = diag / half
+    k_t[w] -= mid / half
+    width = n * w
+    band = np.zeros((2 * width + 1, L), dtype=complex)
+    band[width] = coef_f[0]
+    s_vn = coef_h[0] * L
+    t_prev, t_cur = np.ones((1, L), dtype=complex), k_t
+    for m in range(1, n + 1):
+        h = m * w  # half-width of t_cur = T_m
+        band[width - h: width + h + 1] += coef_f[m] * t_cur
+        s_vn += coef_h[m] * t_cur[h % L:: L].sum().real  # offsets = 0 mod L
+        if m == n:
+            break
+        t_next = np.zeros((2 * (h + w) + 1, L), dtype=complex)
+        t_next[2 * w: 2 * h + 1] -= t_prev
+        for i in range(-w, w + 1):
+            t_next[w + i: w + i + 2 * h + 1] += (2.0 * k_t[w + i]) * np.roll(t_cur, -i, axis=1)
+        t_prev, t_cur = t_cur, t_next
+    offsets = np.arange(-width, width + 1)
+    if band.shape[0] > L:
+        folded = np.zeros((L, L), dtype=complex)
+        np.add.at(folded, offsets % L, band)
+        band, offsets = folded, np.arange(L)
+    rows = np.broadcast_to(np.arange(L), band.shape)
+    cols = (rows + offsets[:, None]) % L
+    chat = np.zeros((L, L), dtype=complex)
+    chat[rows, cols] = band
+    # mirror the strict upper triangle from the lower one: exactly Hermitian
+    up = cols > rows
+    chat[rows[up], cols[up]] = chat[cols[up], rows[up]].conj()
+    chat.flat[:: L + 1] = chat.flat[:: L + 1].real
+    return chat, float(s_vn)
+
+
+def gibbs_chebyshev(lam_field: MultiplierField) -> GaussianState:
+    """The local Gibbs state of `gibbs_gaussian` by the Chebyshev recurrence
+    whatever it costs (`gibbs_gaussian` takes it only where it is the
+    cheaper build).  Raises ValueError when the field's Fourier modes alias
+    on the lattice (2 w_K >= L) or the degree passes CHEB_MAX_DEGREE."""
+    plan = _chebyshev_plan(lam_field, np.inf)
+    if plan is None:
+        raise ValueError(
+            "no Chebyshev build: the exponent's modes alias on the lattice, "
+            f"or its degree passes {CHEB_MAX_DEGREE}"
+        )
+    return GaussianState._exact(lam_field.lattice, *_gibbs_chebyshev(lam_field.lattice, *plan))
 
 
 def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianState:
     """Quasi-free local Gibbs state Chat = (1 + exp(-Khat))^-1, with its
-    entropy from the spectrum of Khat."""
+    entropy S_vN = tr h(Khat), h(x) = softplus(x) - x expit(x).
+
+    Khat has 2 w_K + 1 wrapped diagonals, w_K the largest Fourier mode of
+    the fields above MODE_FLOOR * eps * max|lam| (`_exponent_width`).  The
+    dropped modes are FFT round-off: each moves an entry of Khat by at most
+    (1 + pi + pi^2/2) MODE_FLOOR eps max|lam| ~ 8e-15 max|lam|, the size of
+    the round-off the dense Khat carries in every entry, and ||dKhat||_2 by
+    at most the sum of those entries over the dropped modes of one row.
+    Gershgorin row sums on the diagonals give an interval [a, b] holding
+    Khat's spectrum, and the Chebyshev series of expit and h on it are cut
+    at the smallest degree n whose dropped coefficients sum to less than
+    CHEB_TOL: as |T_m| <= 1 on [a, b], that bounds the error of Chat in the
+    2-norm and of S_vN per mode.  The recurrence (`_gibbs_chebyshev`) then
+    takes `_chebyshev_multiplies(n, w_K, L)`, about (2 w_K + 1) w_K n^2 L
+    complex multiplies, against the dense `eigh` and Gram product's O(L^3); the
+    build takes the recurrence when its count is below CHEB_CROSSOVER * L^3,
+    and `eigh` otherwise.
+
+    CHEB_CROSSOVER = 0.1 is the measured crossover, on one core: the two
+    builds take equal time at a count of 0.11 L^3 at L = 1024, 0.16 L^3 at
+    512 and about 0.2 L^3 at 256, over `lambda-cos` (w_K = 1), fields with
+    a second to eighth harmonic (w_K = 2 to 8) and `q-cos` profiles
+    (w_K = 11, 13).  So `lambda-cos` at L >= 512 takes the recurrence
+    (n = 48, 1.1 s -> 0.07 s at L = 1024) and `q-cos` takes `eigh`.
+    """
     if lam_field.lattice.L != lattice.L:
         raise ValueError("multiplier field lives on a different lattice")
+    plan = _chebyshev_plan(lam_field, CHEB_CROSSOVER * float(lattice.L) ** 3)
+    if plan is not None:
+        return GaussianState._exact(lattice, *_gibbs_chebyshev(lattice, *plan))
     kappa, vecs = eigh(gibbs_exponent(lam_field), overwrite_a=True, check_finite=False)
     chat = _gram(vecs * np.sqrt(expit(kappa)))
     return GaussianState._exact(lattice, chat, _mode_entropy(kappa))

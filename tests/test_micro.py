@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
+from scipy.special import expit
 
 from fermi_euler import entropy, eos, micro
+from fermi_euler.harness import experiments
+from fermi_euler.harness.config import DEFAULT_PROFILE
 from fermi_euler.errors import (
     BadWindow,
     CutoffTooLarge,
@@ -28,6 +31,7 @@ from fermi_euler.micro import (
     entropy_production,
     evolve,
     fields_to_csv,
+    gibbs_chebyshev,
     gibbs_exponent,
     gibbs_gaussian,
     load_state,
@@ -196,6 +200,114 @@ class TestGibbs:
         values[6] = np.nan
         with pytest.raises(NonFinite, match="field is not finite at site 6"):
             micro._real_field(values)
+
+def profile_field(lattice, profile):
+    """Multiplier field of a config profile at the lattice sites."""
+    model = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=4096)
+    X = lattice.sites * lattice.epsilon
+    return MultiplierField(lattice, *experiments.lam_sites_from_profile(profile, X, model))
+
+
+def lambda_cos_field(lattice):
+    return profile_field(lattice, DEFAULT_PROFILE)
+
+
+Q_COS = {"kind": "q-cos", "params": {"rho": 0.177, "rho_amp": 0.01, "mom_amp": 0.01,
+                                     "mom_phase": 0.5, "e": 0.048, "e_amp": 0.0025,
+                                     "e_phase": 1.0}}
+
+
+def dense_gibbs(lf):
+    """The dense build: eigh of Khat, Chat = V expit(kappa) V+."""
+    kappa, vecs = eigh(gibbs_exponent(lf), overwrite_a=True, check_finite=False)
+    return micro._gram(vecs * np.sqrt(expit(kappa))), micro._mode_entropy(kappa)
+
+
+class TestChebyshevGibbs:
+    @pytest.mark.parametrize("L", [63, 64, 512, 1024])
+    @pytest.mark.parametrize("make", [lambda_cos_field, smooth_field], ids=["lambda-cos", "smooth"])
+    def test_matches_dense_eigh(self, L, make):
+        lat = Lattice(L)
+        lf = make(lat)
+        st = gibbs_chebyshev(lf)
+        chat, s_vn = dense_gibbs(lf)
+        assert np.max(np.abs(st.chat - chat)) <= 1e-12
+        assert st.s_vn == pytest.approx(s_vn, rel=1e-12, abs=0.0)
+
+    def test_lambda_cos_is_tridiagonal_and_takes_the_recurrence(self):
+        lat = Lattice(512)
+        lf = lambda_cos_field(lat)
+        fields = (lf.lam0, lf.lam1, lf.lam4)
+        modes = micro._field_modes(*fields)
+        assert micro._exponent_width(modes, max(np.max(np.abs(f)) for f in fields)) == 1
+        assert micro._chebyshev_plan(lf, micro.CHEB_CROSSOVER * 512.0**3) is not None
+        st = gibbs_gaussian(lat, lf)
+        assert np.array_equal(st.chat, gibbs_chebyshev(lf).chat)
+
+    def test_diagonals_are_the_dense_exponent(self):
+        lat = Lattice(64)
+        lf = smooth_field(lat, seed=7, amp=0.3)
+        khat = gibbs_exponent(lf)
+        diag = micro._exponent_diagonals(lat, micro._field_modes(lf.lam0, lf.lam1, lf.lam4), 2)
+        k = np.arange(64)
+        for j in range(-2, 3):
+            assert np.array_equal(diag[2 + j], khat[k, (k + j) % 64])
+
+    def test_constant_field_stays_diagonal(self):
+        lat = Lattice(512)
+        beta, alpha, mu = 2.0, 0.4, 0.1
+        lf = MultiplierField.constant(lat, beta, alpha, mu)
+        assert micro._chebyshev_plan(lf, micro.CHEB_CROSSOVER * 512.0**3)[0].shape == (1, 512)
+        st = gibbs_gaussian(lat, lf)
+        p = lat.momenta
+        occ = expit(beta * mu + beta * alpha * p - 0.5 * beta * p**2)
+        assert np.count_nonzero(st.chat - np.diag(st.chat.diagonal())) == 0
+        assert np.max(np.abs(st.occupations() - occ)) < 1e-14
+
+    @pytest.mark.parametrize("L", [64, 512])
+    def test_exactly_hermitian(self, L):
+        lat = Lattice(L)
+        st = gibbs_chebyshev(smooth_field(lat, seed=4))
+        assert np.array_equal(st.chat, st.chat.conj().T)
+
+    def test_degree_tail_bound(self):
+        from numpy.polynomial import chebyshev
+
+        a, b = -13.4, 0.33
+        coef_f, coef_h, dropped = micro._chebyshev_series(a, b, micro.CHEB_MAX_DEGREE)
+        assert dropped < micro.CHEB_TOL
+        # the cut series against the functions: within the dropped sum
+        x = np.linspace(a, b, 4001)
+        t = (2.0 * x - a - b) / (b - a)
+        assert np.max(np.abs(chebyshev.chebval(t, coef_f) - expit(x))) <= micro.CHEB_TOL
+        h = np.logaddexp(0.0, x) - x * expit(x)
+        assert np.max(np.abs(chebyshev.chebval(t, coef_h) - h)) <= micro.CHEB_TOL
+        # the FFT coefficients are numpy's interpolant's
+        f = lambda s: expit(0.5 * (b - a) * s + 0.5 * (a + b))  # noqa: E731
+        assert np.max(np.abs(micro._chebyshev_coefficients(f, 41)
+                             - chebyshev.chebinterpolate(f, 40))) < 1e-14
+
+    def test_wide_exponent_takes_eigh(self):
+        lat = Lattice(1024)
+        lf = profile_field(lat, Q_COS)
+        fields = (lf.lam0, lf.lam1, lf.lam4)
+        modes = micro._field_modes(*fields)
+        assert micro._exponent_width(modes, max(np.max(np.abs(f)) for f in fields)) > 8
+        assert micro._chebyshev_plan(lf, micro.CHEB_CROSSOVER * 1024.0**3) is None
+        st = gibbs_gaussian(lat, lf)
+        chat, s_vn = dense_gibbs(lf)
+        assert np.array_equal(st.chat, chat)
+        assert st.s_vn == s_vn
+
+    def test_aliasing_modes_rejected(self):
+        lat = Lattice(8)
+        lam4 = 2.0 + 0.1 * (-1.0) ** lat.sites  # the Nyquist mode: w_K = L/2
+        lf = MultiplierField(lat, lam0=np.zeros(8), lam1=np.zeros(8), lam4=lam4)
+        with pytest.raises(ValueError, match="alias"):
+            gibbs_chebyshev(lf)
+        chat, _ = dense_gibbs(lf)
+        assert np.array_equal(gibbs_gaussian(lat, lf).chat, chat)
+
 
 class TestEvolve:
     def test_homogeneous_gibbs_stationary(self):
