@@ -69,6 +69,11 @@ class ExperimentConfig:
             if L % self.ell_ratio != 0:
                 raise ValueError(f"ell_ratio {self.ell_ratio} must divide L = {L}")
 
+    @property
+    def report_times(self) -> list:
+        """The distinct report times, ascending."""
+        return sorted(set(float(t) for t in self.times))
+
     def eos_model(self):
         from .. import eos
 

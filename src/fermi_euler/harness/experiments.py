@@ -105,6 +105,14 @@ def lam_sites_from_profile(profile: dict, X: np.ndarray, model: eos.EosModel):
     return tuple(np.ascontiguousarray(eos.invert(model, q).T))
 
 
+def _initial_gibbs(config: ExperimentConfig, L: int, model: eos.EosModel):
+    """The lattice of L sites, the config profile's multipliers (lam0, lam1,
+    lam4) at its sites, and the local Gibbs state omega0 of their field."""
+    lat = Lattice(L)
+    lam = lam_sites_from_profile(config.profile, lat.sites * lat.epsilon, model)
+    return lat, lam, micro.gibbs_gaussian(lat, MultiplierField(lat, *lam))
+
+
 def _write_csv(path: Path, header: list, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -146,7 +154,7 @@ class ConvergenceReport:
 def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceReport:
     model = config.eos_model()
     closure = config.closure()
-    times = sorted(set(float(t) for t in config.times))
+    times = config.report_times
     t_max = times[-1]
     grid = euler.MacroGrid(config.n_cells)
     q0 = euler.initial_q_field(
@@ -158,12 +166,9 @@ def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceRepo
     out = Path(out_dir or config.out_dir)
     try:
         for L in config.l_list:
-            lat = Lattice(L)
+            lat, lam, omega0 = _initial_gibbs(config, L, model)
             ell = L // config.ell_ratio
             X = lat.sites * lat.epsilon
-            lam0, lam1, lam4 = lam_sites_from_profile(config.profile, X, model)
-            lam_field = MultiplierField(lat, lam0=lam0, lam1=lam1, lam4=lam4)
-            omega0 = micro.gibbs_gaussian(lat, lam_field)
 
             for t_macro in times:
                 state = evolve_to(omega0, t_macro, lat)
@@ -185,8 +190,8 @@ def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceRepo
             # slope at T = 0, exact from the generator (d/dT = d/dt / epsilon),
             # against the Euler right side
             slope = micro.densities_rate(omega0).stack() / lat.epsilon
-            rho_r, mom_r, e_r = bz_dual_fields(model, lam0, lam1, lam4)
-            p_r = bz_pressure_field(model, lam0, lam1, lam4)
+            rho_r, mom_r, e_r = bz_dual_fields(model, *lam)
+            p_r = bz_pressure_field(model, *lam)
             a_fields = np.stack(
                 [mom_r, p_r + mom_r**2 / rho_r, mom_r * (e_r + p_r) / rho_r]
             )
@@ -254,7 +259,7 @@ def multiplier_rate(sol: euler.EulerSolution, lam: np.ndarray) -> np.ndarray:
 def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
     model = config.eos_model()
     closure = config.closure()
-    times = sorted(set(float(t) for t in config.times))
+    times = config.report_times
     grid = euler.MacroGrid(config.n_cells)
     q0 = euler.initial_q_field(
         config.profile["kind"], config.profile["params"], grid, model
@@ -279,10 +284,7 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
     out = Path(out_dir or config.out_dir)
     off = 0.5 * grid.dx
     for L in config.l_list:
-        lat = Lattice(L)
-        X = lat.sites * lat.epsilon
-        lam0, lam1, lam4 = lam_sites_from_profile(config.profile, X, model)
-        omega0 = micro.gibbs_gaussian(lat, MultiplierField(lat, lam0, lam1, lam4))
+        lat, _, omega0 = _initial_gibbs(config, L, model)
 
         def sites(cell_values: np.ndarray) -> list:
             return [trig_interp(v, L, off) for v in cell_values.T]
@@ -337,7 +339,7 @@ def run_euler(config: ExperimentConfig, out_dir=None) -> Path:
     q0 = euler.initial_q_field(
         config.profile["kind"], config.profile["params"], grid, model
     )
-    times = sorted(set(float(t) for t in config.times))
+    times = config.report_times
     traj = euler.run(q0, times[-1], grid, closure, cfl=config.cfl, snapshot_times=times)
     out = Path(out_dir or config.out_dir)
     for t, q in zip(traj.times, traj.snapshots):
@@ -361,15 +363,11 @@ def run_micro(config: ExperimentConfig, out_dir=None) -> Path:
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for L in config.l_list:
-        lat = Lattice(L)
-        X = lat.sites * lat.epsilon
-        lam0, lam1, lam4 = lam_sites_from_profile(config.profile, X, model)
-        omega0 = micro.gibbs_gaussian(lat, MultiplierField(lat, lam0, lam1, lam4))
-        for t_macro in sorted(set(float(t) for t in config.times)):
+        lat, _, omega0 = _initial_gibbs(config, L, model)
+        for t_macro in config.report_times:
             state = evolve_to(omega0, t_macro, lat)
-            dens = micro.densities(state)
-            cur = micro.currents(state)
-            micro.fields_to_csv(out / f"micro_L{L}_T{t_macro:.6f}.csv", lat, dens, cur)
+            micro.fields_to_csv(out / f"micro_L{L}_T{t_macro:.6f}.csv", lat,
+                                micro.densities(state), micro.currents(state))
             if config.extra.get("save_states", False):
                 micro.save_state(
                     state, out / f"state_L{L}_T{t_macro:.6f}.bin", t=t_macro / lat.epsilon

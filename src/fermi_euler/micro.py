@@ -14,12 +14,13 @@ Observables are Hermitian momentum-space symbols,
 
     <O_x> = (1/L) sum_{k,q} S(k, q) Chat[k, q] exp(i (p_k - p_q) x),
 
-with S = 1 for particle density, (p_k+p_q)/2 for momentum density,
-p_k p_q / 2 for kinetic-energy density, and the current symbols listed in
-`currents`.  Each field is the sum of S * Chat over the wrapped diagonals
-q - k = j (mod L), then one 1D FFT over j.  With spectral derivatives the
-free continuity equations hold to round-off, which is what makes every
-identity check in the test suite sharp.
+with S = 1 for particle density, (p_k+p_q)/2 for momentum density and
+p_k p_q / 2 for kinetic-energy density.  Each field is the sum of S * Chat
+over the wrapped diagonals q - k = j (mod L), then one 1D FFT over j.  The
+same sums of the generator -i (eps_k - eps_q) Chat give the exact rates,
+and divided by the spectral gradient's symbol, the currents (`currents`):
+the lattice continuity equations hold to round-off in every mode but an
+even L's Nyquist mode, which makes every identity check in the tests sharp.
 
 Local Gibbs states carry slowly varying multiplier fields: the one-particle
 exponent is K = L0 + (L1 P + P L1)/2 - D+ L4 D / 2 with L^mu = diag(lam^mu),
@@ -113,14 +114,6 @@ class Lattice:
     def dispersion(self) -> np.ndarray:
         return 0.5 * self.momenta**2
 
-    @cached_property
-    def partner_momenta(self) -> np.ndarray:
-        """Read-only view Q[k, j] = p_{(k + j) mod L}: the momentum q that k
-        meets on the wrapped diagonal q - k = j (no L x L copy)."""
-        p2 = np.concatenate((self.momenta, self.momenta))
-        step = p2.strides[0]
-        return as_strided(p2, shape=(self.L, self.L), strides=(step, step), writeable=False)
-
 
 def to_momentum(c: np.ndarray) -> np.ndarray:
     """Chat = W C W+ for the unitary DFT (O(L^2 log L))."""
@@ -138,6 +131,14 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     ext = np.concatenate((c[::-1], c[:0:-1]))  # ext[i] = c[(L - 1 - i) mod L]
     step = ext.strides[0]
     return as_strided(ext[L - 1:], shape=(L, L), strides=(-step, step), writeable=False)
+
+
+def _partner(values: np.ndarray) -> np.ndarray:
+    """Read-only view Q[k, j] = values[(k + j) mod L]: what k meets on the
+    wrapped diagonal q - k = j (no L x L copy)."""
+    L = values.size
+    v2 = np.concatenate((values, values))
+    return as_strided(v2, shape=(L, L), strides=(v2.strides[0],) * 2, writeable=False)
 
 
 def _skew(chat: np.ndarray) -> np.ndarray:
@@ -612,53 +613,58 @@ def evolve(state: GaussianState, t: float) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 
-def _density_fields(lattice: Lattice, chat: np.ndarray) -> DensityFields:
-    """(n, p, h) of a Hermitian Chat: symbols 1, (p_k + p_q)/2, p_k p_q / 2
-    summed over the wrapped diagonals q = k + j."""
-    p = lattice.momenta
+def _diagonal_sums(lattice: Lattice, chat: np.ndarray, rate: bool = False) -> list:
+    """Sums of the density symbols 1, (p_k + p_q)/2 and p_k p_q / 2 times
+    Chat over each wrapped diagonal q = k + j, from one skewed copy of Chat;
+    with `rate`, of d/dt Chat under `evolve`: the copy is multiplied in place
+    by the generator's -i (eps_k - eps_q)."""
     diag = _skew(chat)
-    p_q = lattice.partner_momenta * diag
-    return DensityFields(
-        n=_site_field(diag.sum(axis=0)),
-        p=_site_field(0.5 * (p @ diag + p_q.sum(axis=0))),
-        h=_site_field(0.5 * (p @ p_q)),
-    )
+    if rate:
+        eps = lattice.dispersion
+        diag *= -1j * (eps[:, None] - _partner(eps))
+    p = lattice.momenta
+    p_q = _partner(p) * diag
+    return [diag.sum(axis=0), 0.5 * (p @ diag + p_q.sum(axis=0)), 0.5 * (p @ p_q)]
 
 
 def densities(state: GaussianState) -> DensityFields:
-    """Conserved densities; with spectral operators the continuity equations
-    against `currents` hold to round-off."""
-    return _density_fields(state.lattice, state.chat)
+    """Conserved densities (n, p, h): symbols 1, (p_k + p_q)/2, p_k p_q / 2."""
+    return DensityFields(*(_site_field(s) for s in _diagonal_sums(state.lattice, state.chat)))
 
 
 def densities_rate(state: GaussianState) -> DensityFields:
     """Exact micro-time derivative of `densities` under `evolve`: the fields
     of the generator d/dt Chat = -i (eps_k - eps_q) Chat."""
-    eps = state.lattice.dispersion
-    return _density_fields(state.lattice, -1j * (eps[:, None] - eps[None, :]) * state.chat)
+    sums = _diagonal_sums(state.lattice, state.chat, rate=True)
+    return DensityFields(*(_site_field(s) for s in sums))
 
 
 def currents(state: GaussianState, cutoff: "MomentumCutoff | None" = None) -> CurrentTensor:
-    """Kinetic current tensor (w0, w1, w4).
-
-    w0 is the momentum density; w1 carries the gradient-of-density correction
-    -(1/4) d^2 n/dx^2 on top of the quadratic-symbol part so that the lattice
-    continuity identity d/dt p + grad w1 = 0 is exact (in the continuum this
-    term is the higher-derivative remainder of the current calculation);
-    w4 = (1/4) p_k p_q (p_k + p_q) needs no correction.  When a cutoff filter
-    is given, the currents are evaluated on the smeared state.
-    """
+    """Currents (w0, w1, w4) of (n, p, h) by lattice continuity, mode by mode:
+    d_t q + d_x w = 0 with `densities_rate` and `spectral_derivative`, which
+    multiplies the mode -j of the wrapped diagonal q = k + j by i p_[-j].  So
+    a density of symbol S has the current symbol S(k, q) (eps_k - eps_q) /
+    p_[k-q], one denominator per diagonal: its diagonal sums are the rate's
+    times i / p_[-j].  That is the continuum S (p_k + p_q)/2 except across
+    the zone edge (umklapp pairs), and S(k, k) p_k, the group velocity, on
+    the main diagonal.  An even L's Nyquist diagonal has p_[L/2] = +pi from
+    both sides, so no Hermitian symbol is exact there, and
+    `spectral_derivative` drops a real Nyquist mode: the current's Nyquist
+    mode is 0, continuity is exact in every other mode, and the rate's
+    Nyquist mode is the residual there.  With a cutoff, of the smeared state."""
     if cutoff is not None:
         state = cutoff.smear(state)
     lat = state.lattice
     p = lat.momenta
-    diag = _skew(state.chat)
-    p_q = lat.partner_momenta * diag
-    n = _site_field(diag.sum(axis=0))
-    w0 = _site_field(0.5 * (p @ diag + p_q.sum(axis=0)))
-    w1 = _site_field(p @ p_q) - 0.25 * spectral_derivative(n, lat, order=2)
-    w4 = _site_field(0.25 * (p**2 @ p_q + p @ (lat.partner_momenta * p_q)))
-    return CurrentTensor(w0=w0, w1=w1, w4=w4)
+    j = np.arange(lat.L)
+    live = (j > 0) & (2 * j != lat.L)
+    ratio = np.zeros(lat.L, dtype=complex)
+    ratio[live] = 1j / p[-j[live]]
+    sums = [ratio * s for s in _diagonal_sums(lat, state.chat, rate=True)]
+    v = p * state.occupations()
+    for s, main in zip(sums, (v.sum(), p @ v, 0.5 * (p * p) @ v)):
+        s[0] = main
+    return CurrentTensor(*(_site_field(s) for s in sums))
 
 
 def boost(state: GaussianState, n_modes: int) -> GaussianState:
@@ -991,18 +997,9 @@ def fields_to_csv(path, lattice: Lattice, dens: DensityFields, cur: CurrentTenso
     """CSV with columns (x, n, p, h, w0, w1, w4)."""
     import csv
 
+    columns = (dens.n, dens.p, dens.h, cur.w0, cur.w1, cur.w4)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "n", "p", "h", "w0", "w1", "w4"])
         for x in range(lattice.L):
-            writer.writerow(
-                [
-                    x,
-                    repr(dens.n[x]),
-                    repr(dens.p[x]),
-                    repr(dens.h[x]),
-                    repr(cur.w0[x]),
-                    repr(cur.w1[x]),
-                    repr(cur.w4[x]),
-                ]
-            )
+            writer.writerow([x, *(repr(c[x]) for c in columns)])

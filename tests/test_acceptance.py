@@ -20,7 +20,7 @@ DESCRIPTIONS = {
     4: "Gaussian relative entropy vs Fock oracle, L <= 5, 1e-8",
     5: "entropy / Golden-Thompson / Peierls inequalities, -1e-10",
     6: "rate function: nonnegativity, zero, Hessian, truncation",
-    7: "microscopic continuity, L2 < 1e-6 at dt = 1e-4, L = 128",
+    7: "microscopic continuity: L2 < 1e-6 at dt = 1e-4, exact generator < 1e-13",
     8: "window partition of unity and cutoff Fourier properties",
     9: "Euler conservation, fixed point, L1 order >= 0.8",
     10: "hydro-compare trend at T = 0 and entropy-track start",

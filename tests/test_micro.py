@@ -90,6 +90,45 @@ def fft_diagonal_field(symbol, chat):
     return np.einsum("xx->x", np.fft.ifft(np.fft.fft(symbol * chat, axis=1), axis=0)).real
 
 
+def density_symbols(lattice):
+    """Dense symbol matrices S(k, q) of (n, p, h): 1, (p_k + p_q)/2, p_k p_q / 2."""
+    p = lattice.momenta
+    pk, pq = p[:, None], p[None, :]
+    return np.ones((lattice.L, lattice.L)), 0.5 * (pk + pq), 0.5 * pk * pq
+
+
+def generator(lattice, chat):
+    """d/dt Chat = -i (eps_k - eps_q) Chat, built dense."""
+    eps = lattice.dispersion
+    return -1j * (eps[:, None] - eps[None, :]) * chat
+
+
+def flux_symbol(lattice):
+    """(eps_k - eps_q) / p_[k-q] off the diagonal, p_k on it, and 0 on the
+    Nyquist diagonal k - q = L/2 of an even L: times S(k, q), the exact
+    current symbol of the density of symbol S."""
+    L = lattice.L
+    p, eps = lattice.momenta, lattice.dispersion
+    shift = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
+    out = np.diag(p)
+    off = (shift != 0) & (2 * shift != L)
+    out[off] = (eps[:, None] - eps[None, :])[off] / p[shift[off]]
+    return out
+
+
+def continuity_residual(st):
+    """d_t q + d_x w per component, from `densities_rate` and `currents`."""
+    lat = st.lattice
+    div = [spectral_derivative(w, lat) for w in currents(st).stack()]
+    return densities_rate(st).stack() + np.stack(div)
+
+
+def random_hermitian_state(lattice, rng):
+    L = lattice.L
+    g = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
+    return GaussianState(lattice, 0.01 * (g + g.conj().T))
+
+
 class TestTransforms:
     def test_against_dense_dft(self, rng):
         w = dft_matrix(8)
@@ -465,23 +504,64 @@ class TestDensitiesCurrents:
 
     def test_fields_against_2d_fft_diagonal(self, rng):
         lat = Lattice(64)
-        g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-        st = GaussianState(lat, 0.01 * (g + g.conj().T))
-        p = lat.momenta
-        pk, pq = p[:, None], p[None, :]
+        st = random_hermitian_state(lat, rng)
         d, c = densities(st), currents(st)
+        flux = flux_symbol(lat)
+        sym_n, sym_p, sym_h = density_symbols(lat)
         oracle = {
-            "n": fft_diagonal_field(np.ones((64, 64)), st.chat),
-            "p": fft_diagonal_field(0.5 * (pk + pq), st.chat),
-            "h": fft_diagonal_field(0.5 * pk * pq, st.chat),
-            "w1": fft_diagonal_field(pk * pq, st.chat)
-            - 0.25 * spectral_derivative(np.einsum("xx->x", st.C).real, lat, order=2),
-            "w4": fft_diagonal_field(0.25 * pk * pq * (pk + pq), st.chat),
+            "n": fft_diagonal_field(sym_n, st.chat),
+            "p": fft_diagonal_field(sym_p, st.chat),
+            "h": fft_diagonal_field(sym_h, st.chat),
+            "w0": fft_diagonal_field(sym_n * flux, st.chat),
+            "w1": fft_diagonal_field(sym_p * flux, st.chat),
+            "w4": fft_diagonal_field(sym_h * flux, st.chat),
         }
-        got = {"n": d.n, "p": d.p, "h": d.h, "w1": c.w1, "w4": c.w4}
+        got = {"n": d.n, "p": d.p, "h": d.h, "w0": c.w0, "w1": c.w1, "w4": c.w4}
         for name, want in oracle.items():
             assert np.max(np.abs(got[name] - want)) < 1e-13, name
-        assert np.max(np.abs(c.w0 - d.p)) < 1e-15
+
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_densities_and_rate_against_dense_construction(self, L):
+        lat = Lattice(L)
+        st = evolve(gibbs_gaussian(lat, smooth_field(lat, seed=6, amp=0.3)), 0.3 * L)
+        rate = generator(lat, st.chat)
+        for sym, dens, dot in zip(density_symbols(lat), densities(st).stack(),
+                                  densities_rate(st).stack()):
+            assert np.max(np.abs(dens - fft_diagonal_field(sym, st.chat))) < 1e-13
+            assert np.max(np.abs(dot - fft_diagonal_field(sym, rate))) < 1e-13
+        assert np.max(np.abs(densities_rate(st).stack())) > 1e-3
+
+    @pytest.mark.parametrize("L", [64, 65, 256, 257])
+    def test_continuity_exact_on_gibbs_states(self, L):
+        lat = Lattice(L)
+        for seed in range(3):
+            st = gibbs_gaussian(lat, smooth_field(lat, seed=seed))
+            assert np.max(np.abs(continuity_residual(st))) < 1e-13
+            assert np.max(np.abs(continuity_residual(evolve(st, 0.1 * L)))) < 1e-13
+
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_continuity_exact_on_random_hermitian_chat(self, L, rng):
+        # every mode at odd L; at even L every mode but Nyquist, where the
+        # residual is the rate's own Nyquist mode
+        lat = Lattice(L)
+        st = random_hermitian_state(lat, rng)
+        resid = np.fft.fft(continuity_residual(st)) / L
+        rate = np.fft.fft(densities_rate(st).stack()) / L
+        if L % 2 == 0:
+            assert np.min(np.abs(rate[:, L // 2])) > 1e-4
+            assert np.max(np.abs(resid[:, L // 2] - rate[:, L // 2])) < 1e-13
+            resid[:, L // 2] = 0.0
+        assert np.max(np.abs(resid)) < 1e-13
+
+    def test_umklapp_current_departs_from_continuum_symbol(self):
+        # the lambda-cos state carries zone-edge pairs: the exact particle
+        # current is not the momentum density there
+        lat = Lattice(256)
+        model = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=4096)
+        lam = experiments.lam_sites_from_profile(DEFAULT_PROFILE, lat.sites * lat.epsilon, model)
+        st = evolve(gibbs_gaussian(lat, MultiplierField(lat, *lam)), 5.12)
+        gap = np.max(np.abs(currents(st).w0 - densities(st).p))
+        assert 1e-12 < gap < 1e-5
 
     def test_boost_against_position_phases(self):
         lat = Lattice(64)
