@@ -16,10 +16,13 @@ expected to refine (they are reported, never extrapolated).  The T = 0 slope
 is exact: the fields of the generator -i (eps_k - eps_q) Chat.
 
 entropy-track follows s(gamma_t | omega^eps_t)/L with omega the local Gibbs
-state of the Euler trajectory's multiplier field at each snapshot (evaluated
-in closed form from its exponent), and its production rate d/dt S in closed
-form: the multipliers' rate comes from the Euler scheme's own right side
-through Hess psi, and a centred difference of S in time cross-checks it.
+state of the Euler trajectory's multiplier field at each snapshot T > 0
+(evaluated in closed form from its exponent), and omega0 itself at T = 0,
+and its production rate d/dt S from the conservation laws (the multipliers
+paired with the exact density rates, their rate with the gap to the
+reference's densities): the multipliers' rate comes from the Euler scheme's
+own right side through Hess psi, and a centred difference of S in time
+cross-checks it.
 """
 
 from __future__ import annotations
@@ -192,9 +195,7 @@ def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceRepo
             slope = micro.densities_rate(omega0).stack() / lat.epsilon
             rho_r, mom_r, e_r = bz_dual_fields(model, *lam)
             p_r = bz_pressure_field(model, *lam)
-            a_fields = np.stack(
-                [mom_r, p_r + mom_r**2 / rho_r, mom_r * (e_r + p_r) / rho_r]
-            )
+            a_fields = euler.flux_A(euler.ConservedField(rho_r, mom_r, e_r), p_r)
             rhs = -np.stack([macro_spectral_derivative(a) for a in a_fields])
             for idx, comp in enumerate(COMPONENTS):
                 resid = micro.coarse_grain(slope[idx] - rhs[idx], ell, lat)
@@ -284,7 +285,7 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
     out = Path(out_dir or config.out_dir)
     off = 0.5 * grid.dx
     for L in config.l_list:
-        lat, _, omega0 = _initial_gibbs(config, L, model)
+        lat, lam, omega0 = _initial_gibbs(config, L, model)
 
         def sites(cell_values: np.ndarray) -> list:
             return [trig_interp(v, L, off) for v in cell_values.T]
@@ -298,16 +299,19 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
 
         for t_macro in times:
             t_micro = t_macro / lat.epsilon
-            gamma = omega0 if t_macro == 0.0 else micro.evolve(omega0, t_micro)
-            # the reference at T > 0 is the local Gibbs state of the Euler
-            # multipliers at T, evaluated in closed form from its exponent,
-            # whose spectrum the entropy and the production rate share
-            spectrum = micro.gibbs_spectrum(MultiplierField(lat, *sites(cells[t_macro])))
-            omega_t = omega0 if t_macro == 0.0 else spectrum
-            s_tot, s_site = micro.rel_entropy_gaussian(gamma, omega_t)
             # micro time t = T/epsilon, so dlam/dt = epsilon dlam/dT
             lam_rate = [lat.epsilon * r for r in sites(rates[t_macro])]
-            production = micro.entropy_production(gamma, spectrum, lam_rate)
+            if t_macro == 0.0:
+                # the reference at T = 0 is gamma_0 = omega0 itself, the local
+                # Gibbs state of the profile's field
+                gamma, field, reference = omega0, MultiplierField(lat, *lam), omega0
+            else:
+                # the reference at T > 0 is the local Gibbs state of the Euler
+                # multipliers at T, evaluated in closed form from its exponent
+                gamma = micro.evolve(omega0, t_micro)
+                field = reference = MultiplierField(lat, *sites(cells[t_macro]))
+            s_tot, s_site = micro.rel_entropy_gaussian(gamma, reference)
+            production = micro.entropy_production(gamma, field, lam_rate)
             if t_macro > 0.0:
                 h = steps[t_macro]
                 s_up = entropy_at(t_macro + h)

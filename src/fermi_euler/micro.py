@@ -38,10 +38,11 @@ tests: a state of positive momentum drifts toward larger x).
 
 Also here: the smooth high-momentum cutoff filter, the partition-of-unity
 coarse-graining window, the quasi-free relative entropy (in closed form
-against a local Gibbs reference) and its production rate along the
-evolution against a moving reference, given the rate of its multipliers
-(closed form too: Khat is linear in the fields), and the cutoff/moment
-assumption checks.
+against a local Gibbs reference) and its production rate against a moving
+reference, given the rate of its multipliers, from the conservation laws:
+Khat is linear in the fields, so the rate pairs the multipliers with the
+exact density rates and their rate with the gap to the reference's
+densities.  Last, the cutoff/moment assumption checks.
 """
 
 from __future__ import annotations
@@ -356,15 +357,9 @@ def gibbs_exponent(lam_field: MultiplierField) -> np.ndarray:
     mod L.  For constant multipliers Khat is diagonal with symbol
     lam0 + lam1 p - lam4 p^2 / 2.
     """
-    return _exponent(lam_field.lattice, lam_field.lam0, lam_field.lam1, lam_field.lam4)
-
-
-def _exponent(lattice: Lattice, lam0, lam1, lam4) -> np.ndarray:
-    """The Khat of `gibbs_exponent` for three per-site arrays: a linear map,
-    with no sign condition on lam4, so it also takes a rate of multipliers."""
-    p = lattice.momenta
-    lam0, lam1, lam4 = (_circulant(m) for m in _field_modes(lam0, lam1, lam4))
-    return _exponent_entries(lam0, lam1, lam4, p[:, None], p)
+    p = lam_field.lattice.momenta
+    modes = _field_modes(lam_field.lam0, lam_field.lam1, lam_field.lam4)
+    return _exponent_entries(*(_circulant(m) for m in modes), p[:, None], p)
 
 
 def _field_modes(lam0, lam1, lam4) -> list:
@@ -573,25 +568,6 @@ def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianStat
     return GaussianState._exact(lattice, chat, _mode_entropy(kappa))
 
 
-@dataclass(frozen=True)
-class GibbsSpectrum:
-    """The exponent Khat of one multiplier field with its eigenvalues kappa
-    and eigenvectors: what `rel_entropy_gaussian` and `entropy_production`
-    both need of one snapshot's local Gibbs reference, decomposed once."""
-
-    lattice: Lattice
-    khat: np.ndarray
-    kappa: np.ndarray
-    vecs: np.ndarray
-
-
-def gibbs_spectrum(lam_field: MultiplierField) -> GibbsSpectrum:
-    """Khat of lam_field and its full eigendecomposition."""
-    khat = gibbs_exponent(lam_field)
-    kappa, vecs = eigh(khat, check_finite=False)
-    return GibbsSpectrum(lam_field.lattice, khat, kappa, vecs)
-
-
 def evolve(state: GaussianState, t: float) -> GaussianState:
     """Free evolution C(t) = e^{-i t h1} C e^{+i t h1}: in the momentum
     eigenbasis of h1 = -Laplacian/2 the phase e^{-i t eps_k} e^{+i t eps_q}
@@ -621,7 +597,8 @@ def _diagonal_sums(lattice: Lattice, chat: np.ndarray, rate: bool = False) -> li
     diag = _skew(chat)
     if rate:
         eps = lattice.dispersion
-        diag *= -1j * (eps[:, None] - _partner(eps))
+        np.multiply(diag, eps[:, None] - _partner(eps), out=diag)
+        diag *= -1j
     p = lattice.momenta
     p_q = _partner(p) * diag
     return [diag.sum(axis=0), 0.5 * (p @ diag + p_q.sum(axis=0)), 0.5 * (p @ p_q)]
@@ -796,7 +773,7 @@ def coarse_grain(fields, ell: int, lattice: Lattice):
 
 
 def rel_entropy_gaussian(
-    gamma: GaussianState, omega: GaussianState | MultiplierField | GibbsSpectrum
+    gamma: GaussianState, omega: GaussianState | MultiplierField
 ) -> tuple[float, float]:
     """Relative entropy S(gamma | omega) between quasi-free states, returned
     as (total, per-site density).
@@ -807,8 +784,7 @@ def rel_entropy_gaussian(
         S = -S_vN(gamma) - tr(Chat_gamma Khat) + sum_j log(1 + e^{kappa_j}),
 
     with kappa the spectrum of Khat and S_vN(gamma) from `vn_entropy` (exact
-    for an evolved Gibbs state); a GibbsSpectrum of the field supplies Khat
-    and kappa already computed.  When omega is a state, both spectra are
+    for an evolved Gibbs state).  When omega is a state, both spectra are
     used:
 
         S = tr[Cg (log Cg - log Cw)] + tr[(1-Cg)(log(1-Cg) - log(1-Cw))],
@@ -818,13 +794,10 @@ def rel_entropy_gaussian(
     """
     if gamma.L != omega.lattice.L:
         raise ValueError("states live on different lattices")
-    if isinstance(omega, (MultiplierField, GibbsSpectrum)):
-        shared = isinstance(omega, GibbsSpectrum)
-        khat = omega.khat if shared else gibbs_exponent(omega)
+    if isinstance(omega, MultiplierField):
+        khat = gibbs_exponent(omega)
         cross = float(np.vdot(khat, gamma.chat).real)
-        kappa = omega.kappa if shared else eigh(
-            khat, eigvals_only=True, overwrite_a=True, check_finite=False
-        )
+        kappa = eigh(khat, eigvals_only=True, overwrite_a=True, check_finite=False)
         total = float(np.sum(np.logaddexp(0.0, kappa))) - cross - gamma.vn_entropy()
         return total, total / gamma.L
     if gamma is omega or gamma.chat is omega.chat:
@@ -850,35 +823,36 @@ def rel_entropy_gaussian(
     return total, total / gamma.L
 
 
-def entropy_production(gamma: GaussianState, spectrum: GibbsSpectrum, lam_rate) -> float:
+def _pairing(lam, dens) -> float:
+    """sum_x (lam0 n + lam1 p - lam4 h): tr(Chat Khat) for Khat the
+    `gibbs_exponent` of lam and (n, p, h) the `densities` of Chat."""
+    (lam0, lam1, lam4), (n, p, h) = lam, dens
+    return float(np.sum(lam0 * n + lam1 * p - lam4 * h))
+
+
+def entropy_production(gamma: GaussianState, lam_field: MultiplierField, lam_rate) -> float:
     """d/dt S(gamma_t | omega_t) for omega_t the local Gibbs state of a
-    moving multiplier field, at the instant where `spectrum` is the
-    GibbsSpectrum of that field (the caller shares it with the relative
-    entropy) and lam_rate = (dlam0/dt, dlam1/dt, dlam4/dt) its per-site rate
-    in micro time:
+    moving multiplier field, at the instant where lam_field is that field
+    and lam_rate = (dlam0/dt, dlam1/dt, dlam4/dt) its per-site rate in micro
+    time, from the conservation laws.  Khat is linear in the fields, so
+    tr(Chat Khat) = sum_x lam . q with lam . q = lam0 n + lam1 p - lam4 h,
+    and d log Z/dt = sum_x dlam/dt . <q>_omega.  S_vN(gamma_t) is constant
+    under `evolve`, so
 
-        dS/dt = tr(C_gamma (-i[h1, K_t] - dK_t/dt)) + tr(dK_t/dt C_omega).
+        dS/dt = -sum_x lam . d<q>_gamma/dt - sum_x dlam/dt . (<q>_gamma - <q>_omega),
 
-    In the momentum basis h1 is diagonal, so the commutator is the
-    elementwise (eps_k - eps_q) Khat_t and every trace is an elementwise sum.
-    Khat is linear in the fields, so dK/dt is the exponent of lam_rate.  The
-    commutator sign matches the drift-pinned evolution convention.
+    with d<q>_gamma/dt the exact `densities_rate` and omega the
+    `gibbs_gaussian` of lam_field.
     """
     lat = gamma.lattice
     rate = np.asarray(lam_rate, dtype=float)
     if rate.shape != (3, lat.L):
         raise ValueError(f"lam_rate of shape {rate.shape}: need three arrays of {lat.L} sites")
     _require_finite(rate, "lam_rate")
-    k_now = spectrum.khat
-    dk_dt = _exponent(lat, *rate)
-
-    eps = lat.dispersion
-    comm = (eps[:, None] - eps[None, :]) * k_now
-    # tr(A B) = sum_kq conj(A_kq) B_kq for Hermitian A
-    term_gamma = np.vdot(-1j * comm - dk_dt, gamma.chat)
-    c_omega = _gram(spectrum.vecs * np.sqrt(expit(spectrum.kappa)))
-    term_norm = np.vdot(dk_dt, c_omega)
-    return float(np.real(term_gamma + term_norm))
+    omega = gibbs_gaussian(lat, lam_field)
+    lam = (lam_field.lam0, lam_field.lam1, lam_field.lam4)
+    gap = densities(gamma).stack() - densities(omega).stack()
+    return -_pairing(lam, densities_rate(gamma).stack()) - _pairing(rate, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -741,22 +741,20 @@ class TestEntropyProduction:
         lf = MultiplierField.constant(lat, 2.0, 0.2, 0.1)
         st = evolve(gibbs_gaussian(lat, lf), 1.3)
         rate = np.zeros((3, lat.L))
-        assert abs(entropy_production(st, micro.gibbs_spectrum(lf), rate)) < 1e-8
+        assert abs(entropy_production(st, lf, rate)) < 1e-8
 
     def test_zero_at_initial_time(self):
         lat = Lattice(128)
         lam_of_t, rate_of_t = self.lam_path(lat)
         st = gibbs_gaussian(lat, lam_of_t(0.0))
-        spectrum = micro.gibbs_spectrum(lam_of_t(0.0))
-        assert abs(entropy_production(st, spectrum, rate_of_t(0.0))) < 1e-6 * lat.L
+        assert abs(entropy_production(st, lam_of_t(0.0), rate_of_t(0.0))) < 1e-6 * lat.L
 
     def test_matches_finite_difference(self):
         lat = Lattice(128)
         lam_of_t, rate_of_t = self.lam_path(lat)
         g0 = gibbs_gaussian(lat, lam_of_t(0.0))
         t_eval, h = 0.5, 0.02
-        spectrum = micro.gibbs_spectrum(lam_of_t(t_eval))
-        prod = entropy_production(evolve(g0, t_eval), spectrum, rate_of_t(t_eval))
+        prod = entropy_production(evolve(g0, t_eval), lam_of_t(t_eval), rate_of_t(t_eval))
         s_plus, _ = rel_entropy_gaussian(
             evolve(g0, t_eval + h), gibbs_gaussian(lat, lam_of_t(t_eval + h))
         )
@@ -780,34 +778,34 @@ class TestEntropyProduction:
         c_omega = (vecs / (1.0 + np.exp(-vals))) @ vecs.conj().T
         comm = h1 @ k_now - k_now @ h1
         oracle = np.real(np.trace((-1j * comm - dk) @ gamma.C) + np.trace(dk @ c_omega))
-        spectrum = micro.gibbs_spectrum(lf)
-        assert entropy_production(gamma, spectrum, rate_of_t(t)) == pytest.approx(
+        assert entropy_production(gamma, lf, rate_of_t(t)) == pytest.approx(
             oracle, abs=1e-11
         )
 
     def test_rate_of_wrong_shape_or_non_finite_rejected(self):
         lat = Lattice(16)
         lf = MultiplierField.constant(lat, 2.0, 0.2, 0.1)
-        st, spectrum = gibbs_gaussian(lat, lf), micro.gibbs_spectrum(lf)
+        st = gibbs_gaussian(lat, lf)
         with pytest.raises(ValueError, match="three arrays of 16 sites"):
-            entropy_production(st, spectrum, np.zeros((3, 8)))
+            entropy_production(st, lf, np.zeros((3, 8)))
         rate = np.zeros((3, lat.L))
         rate[2, 5] = np.nan
         with pytest.raises(NonFinite, match=r"\(2, 5\)"):
-            entropy_production(st, spectrum, rate)
+            entropy_production(st, lf, rate)
 
-    def test_shared_spectrum_matches_separate_calls(self):
-        # the relative entropy from the shared decomposition of Khat(T)
-        # equals the one that takes the values only, when called alone
-        lat = Lattice(128)
-        lam_of_t, _ = self.lam_path(lat)
-        t = 0.6
-        gamma = evolve(gibbs_gaussian(lat, lam_of_t(0.0)), t)
-        spectrum = micro.gibbs_spectrum(lam_of_t(t))
-        shared = rel_entropy_gaussian(gamma, spectrum)
-        alone = rel_entropy_gaussian(gamma, lam_of_t(t))
-        assert shared[0] == pytest.approx(alone[0], abs=1e-12)
-        assert shared[1] == pytest.approx(alone[1], abs=1e-12)
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_exponent_trace_is_the_signed_pairing(self, rng, L):
+        # tr(Chat Khat) = sum_x (lam0 n + lam1 p - lam4 h): the identity the
+        # production's field form rests on, for any Hermitian Chat
+        lat = Lattice(L)
+        lf = MultiplierField(lat, rng.normal(size=L), rng.normal(size=L), 1.0 + rng.random(L))
+        a = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
+        st = GaussianState(lat, 0.5 * (a + a.conj().T))
+        trace = np.vdot(gibbs_exponent(lf), st.chat).real
+        d = densities(st)
+        pairing = np.sum(lf.lam0 * d.n + lf.lam1 * d.p - lf.lam4 * d.h)
+        assert abs(pairing - trace) <= 1e-13 * abs(trace)
+
 
 class TestAssumptionChecks:
     def test_moment_finite_and_time_invariant(self):
