@@ -249,10 +249,13 @@ def _bz_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
     g = lam @ basis.T
     if psi is not None:
         psi[:] = np.sum(_log1pexp(g), axis=1) * w
-    if grad is None:
+    if grad is None and hess is None:
         return
     f, f_hole = _fermi(g)
-    grad[:] = f @ basis * w
+    if grad is not None:
+        grad[:] = f @ basis * w
+    if hess is None:
+        return
     f_hole *= f
     upper = f_hole @ pairs * w
     hess[:, i, j] = upper
@@ -287,22 +290,25 @@ def _unbounded_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
     c0 = _SPHERE_AREA[d] * 2.0 ** (0.5 * d - 1.0) / (2.0 * np.pi) ** d * lam4 ** (-0.5 * d)
     if psi is not None:
         psi[:] = c0 * np.sum(weight * _log1pexp(g), axis=1)
-    if grad is None:
+    if grad is None and hess is None:
         return
     f, f_hole = _fermi(g)
     wf = weight * f
     rho = c0 * np.sum(wf, axis=1)
-    e_rest = c0 / lam4 * np.sum(wf * s, axis=1)
+    alpha = m / lam4[:, None]
+    if grad is not None:
+        # boost: mom = alpha rho, e = e_rest + |alpha|^2 rho / 2
+        e_rest = c0 / lam4 * np.sum(wf * s, axis=1)
+        grad[:, 0] = rho
+        grad[:, 1:-1] = alpha * rho[:, None]
+        grad[:, -1] = -(e_rest + 0.5 * np.sum(alpha * alpha, axis=1) * rho)
+    if hess is None:
+        return
     wf *= f_hole
     F0 = c0 * np.sum(wf, axis=1)
     wf *= s
     F1 = c0 / lam4 * np.sum(wf, axis=1)
     F2 = c0 / lam4**2 * np.sum(wf * s, axis=1)
-    # boost: mom = alpha rho, e = e_rest + |alpha|^2 rho / 2
-    alpha = m / lam4[:, None]
-    grad[:, 0] = rho
-    grad[:, 1:-1] = alpha * rho[:, None]
-    grad[:, -1] = -(e_rest + 0.5 * np.sum(alpha * alpha, axis=1) * rho)
     # Psi(z, lam4): Psi_zz = F0, Psi_z4 = -F1, Psi_44 = F2; chain rule through
     # dz/dm = m/lam4 = alpha, dz/dlam4 = -|m|^2/(2 lam4^2)
     a_4 = -0.5 * msq / lam4**2
@@ -320,14 +326,16 @@ def _unbounded_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
     hess[:, -1, 1:-1] = hess[:, 1:-1, -1]
 
 
-def _evaluate(model: EosModel, lam: np.ndarray, want_psi: bool, want_derivs: bool):
+def _evaluate(model: EosModel, lam: np.ndarray, want_psi: bool, want_grad: bool,
+              want_hess: bool):
     """psi (N,), signed densities (N, d+2) and Hessians (N, d+2, d+2) at the
-    multipliers lam (N, d+2), each None unless asked for; cells run in
-    blocks of about _BLOCK_ELEMENTS quadrature points."""
+    multipliers lam (N, d+2), each None unless asked for (and not computed:
+    each is a further pass over the quadrature points); cells run in blocks
+    of about _BLOCK_ELEMENTS quadrature points."""
     n_cells, n = lam.shape
     psi = np.empty(n_cells) if want_psi else None
-    grad = np.empty((n_cells, n)) if want_derivs else None
-    hess = np.empty((n_cells, n, n)) if want_derivs else None
+    grad = np.empty((n_cells, n)) if want_grad else None
+    hess = np.empty((n_cells, n, n)) if want_hess else None
     if model.domain == BRILLOUIN:
         block, nodes = _bz_block, model.bz_nodes**model.d
     else:
@@ -350,11 +358,12 @@ def _cells(model: EosModel, arr, what: str) -> np.ndarray:
     return arr.reshape(-1, model.d + 2)
 
 
-def moments(model: EosModel, lam):
+def moments(model: EosModel, lam, psi: bool = True, grad: bool = True, hess: bool = True):
     """(psi, signed densities, Hess psi) at multipliers lam of shape
     (..., d+2), ordered (lam0, lam_mom..., lam4): shapes (...), (..., d+2)
-    and (..., d+2, d+2).  The signed densities (rho, mom, -e) are the
-    gradient of psi.  Raises NonFinite or NonpositiveBeta naming the cell."""
+    and (..., d+2, d+2), each None where its flag is False.  The signed
+    densities (rho, mom, -e) are the gradient of psi.  Raises NonFinite or
+    NonpositiveBeta naming the cell."""
     shape = np.shape(lam)[:-1]
     flat = _cells(model, lam, "multipliers")
     finite = np.all(np.isfinite(flat), axis=1)
@@ -364,9 +373,9 @@ def moments(model: EosModel, lam):
     if np.any(flat[:, -1] <= 0.0):
         j = int(np.argmax(flat[:, -1] <= 0.0))
         raise NonpositiveBeta(f"cell {j}: lam4 = {flat[j, -1]} must be > 0")
-    psi, grad, hess = _evaluate(model, flat, True, True)
     n = model.d + 2
-    return psi.reshape(shape), grad.reshape(shape + (n,)), hess.reshape(shape + (n, n))
+    out = _evaluate(model, flat, psi, grad, hess)
+    return tuple(None if v is None else v.reshape(shape + (n,) * k) for k, v in enumerate(out))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +386,7 @@ def moments(model: EosModel, lam):
 def pressure_psi(model: EosModel, lam: MultiplierVector) -> float:
     """Dimensionless pressure psi(lam) = beta * P."""
     _check(model, lam)
-    return float(_evaluate(model, lam.as_array()[None], True, False)[0][0])
+    return float(_evaluate(model, lam.as_array()[None], True, False, False)[0][0])
 
 
 def dual_q(model: EosModel, lam: MultiplierVector) -> ConservedVector:
@@ -386,7 +395,7 @@ def dual_q(model: EosModel, lam: MultiplierVector) -> ConservedVector:
     domain in the rest frame, then boosted: mom = alpha rho,
     e = e_rest + |alpha|^2 rho / 2)."""
     _check(model, lam)
-    signed = _evaluate(model, lam.as_array()[None], False, True)[1][0]
+    signed = _evaluate(model, lam.as_array()[None], False, True, False)[1][0]
     return ConservedVector(rho=signed[0], mom=signed[1:-1], e=-signed[-1])
 
 
@@ -394,7 +403,7 @@ def hessian_psi(model: EosModel, lam: MultiplierVector) -> np.ndarray:
     """Second-derivative matrix of psi in the plain coordinates
     (lam0, lam_mom..., lam4); symmetric positive definite."""
     _check(model, lam)
-    return _evaluate(model, lam.as_array()[None], False, True)[2][0]
+    return _evaluate(model, lam.as_array()[None], False, False, True)[2][0]
 
 
 def _check(model: EosModel, lam: MultiplierVector):
@@ -477,7 +486,7 @@ def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray):
     y[:, -1] *= -1.0  # gradient of psi at the solution
     size = np.abs(q)
     scale = np.maximum(np.maximum(size, 1e-3 * size.max(axis=1, keepdims=True)), 1e-300)
-    _, grad, hess = _evaluate(model, lam, False, True)
+    _, grad, hess = _evaluate(model, lam, False, True, True)
     r = grad - y
     rel = np.max(np.abs(r) / scale, axis=1)
     live = ~(rel <= _RTOL)
@@ -491,7 +500,7 @@ def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray):
             trial = base + t[:, None] * step
             ok = np.flatnonzero(trial[:, -1] > 0.0)
             at = todo[ok]
-            _, grad, trial_hess = _evaluate(model, trial[ok], False, True)
+            _, grad, trial_hess = _evaluate(model, trial[ok], False, True, True)
             r_new = grad - y[at]
             rel_new = np.max(np.abs(r_new) / scale[at], axis=1)
             better = (rel_new < rel[at]) | (t[ok] < 2e-16)

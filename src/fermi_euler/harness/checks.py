@@ -456,6 +456,42 @@ def check_micro_chebyshev(rng, tol):
                  note="max |dChat| and relative |dS_vN|, L = 256, lambda-cos + 3 smooth")]
 
 
+def check_micro_banded(rng, tol):
+    """The banded state against its dense Chat, on evolved Chebyshev Gibbs
+    states of smooth fields: L = 256 holds 193 of its 256 diagonals, and
+    L = 128 and 127 the band folded onto all of them.  Densities and rates
+    against the dense readout of their symbol matrices, diag W+ (S * M) W;
+    currents (bare and smeared), S_vN and the closed-form relative entropy
+    against the state rebuilt from the dense Chat, whose entropy comes from
+    its spectrum."""
+    worst = 0.0
+    for L in (256, 128, 127):
+        lat = Lattice(L)
+        p, eps = lat.momenta, lat.dispersion
+        band = micro.evolve(micro.gibbs_chebyshev(_smooth_field(lat, rng)),
+                            rng.uniform(0.5, 5.0) * L)
+        chat = band.chat
+        dense = micro.GaussianState(lat, chat)
+        rate = -1j * (eps[:, None] - eps) * chat
+        cut = micro.momentum_cutoff(lat, 1.5)
+        gaps = []
+        for sym, n, dn in zip((1.0, 0.5 * (p[:, None] + p), 0.5 * p[:, None] * p),
+                              micro.densities(band).stack(), micro.densities_rate(band).stack()):
+            gaps += [n - np.diagonal(micro.to_position(sym * chat)).real,
+                     dn - np.diagonal(micro.to_position(sym * rate)).real]
+        gaps += [micro.currents(band).stack() - micro.currents(dense).stack(),
+                 micro.currents(band, cut).stack() - micro.currents(dense, cut).stack()]
+        reference = _smooth_field(lat, rng)
+        entropies = [(band.vn_entropy() - dense.vn_entropy()) / L,
+                     micro.rel_entropy_gaussian(band, reference)[1]
+                     - micro.rel_entropy_gaussian(dense, reference)[1]]
+        worst = max(worst, max(float(np.max(np.abs(g))) for g in gaps),
+                    max(abs(e) for e in entropies))
+    return [_res("micro.banded_vs_dense", worst, tol("banded", 1e-13),
+                 note="fields, rates, currents; S_vN and S(gamma | omega) per site; "
+                      "L = 256, 128, 127")]
+
+
 # ---------------------------------------------------------------------------
 # euler
 # ---------------------------------------------------------------------------
@@ -594,8 +630,9 @@ REGISTRY = {
     "euler_conservation": check_euler_conservation,
     "euler_convergence": check_euler_convergence,
     "hydro_trend": check_hydro_trend,
-    # last, so that its draws leave every other check's random inputs as they were
+    # last, so that their draws leave every other check's random inputs as they were
     "micro_continuity_exact": check_micro_continuity_exact,
+    "micro_banded": check_micro_banded,
 }
 
 # acceptance criterion number -> registry groups
@@ -610,6 +647,7 @@ CRITERION_GROUPS = {
     8: ["micro_window"],
     9: ["euler_conservation", "euler_convergence"],
     10: ["hydro_trend"],
+    11: ["micro_banded"],
 }
 
 

@@ -52,15 +52,17 @@ COMPONENTS = ("n", "p", "h")
 
 def bz_dual_fields(model: eos.EosModel, lam0, lam1, lam4):
     """Brillouin-zone dual map (rho, mom, e) over per-site multiplier arrays,
-    by one `eos.moments` over all sites."""
-    signed = eos.moments(model, np.stack([lam0, lam1, lam4], axis=-1))[1]
+    by one `eos.moments` over all sites that evaluates the densities alone."""
+    lam = np.stack([lam0, lam1, lam4], axis=-1)
+    signed = eos.moments(model, lam, psi=False, hess=False)[1]
     return signed[:, 0], signed[:, 1], -signed[:, 2]
 
 
 def bz_pressure_field(model: eos.EosModel, lam0, lam1, lam4):
     """Brillouin-zone pressure P = psi / lam4 over per-site multiplier
-    arrays, by one `eos.moments` over all sites."""
-    return eos.moments(model, np.stack([lam0, lam1, lam4], axis=-1))[0] / lam4
+    arrays, by one `eos.moments` over all sites that evaluates psi alone."""
+    lam = np.stack([lam0, lam1, lam4], axis=-1)
+    return eos.moments(model, lam, grad=False, hess=False)[0] / lam4
 
 
 def trig_interp(values: np.ndarray, L: int, x_offset: float) -> np.ndarray:

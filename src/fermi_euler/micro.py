@@ -2,7 +2,7 @@
 
 A quasi-free state on L sites is fully described by its correlation matrix
 C(x, y) = <a+_y a_x>.  The free dynamics is diagonal in momentum, so the
-module computes only in the momentum representation: a state holds
+module computes only in the momentum representation, on
 
     Chat = W C W+,   W[k, x] = exp(-2 pi i k x / L) / sqrt(L),
 
@@ -30,11 +30,14 @@ mode of the fields above round-off (2 w_K + 1 in all), so `gibbs_gaussian`
 builds Chat and its entropy from Chebyshev series of the Fermi function and
 of the mode entropy, run as a three-term recurrence on wrapped diagonals
 (a Fermi-operator expansion, O(L n^2 w_K^2) for degree n), and falls back
-to a dense eigendecomposition of Khat where that is cheaper; Chat is then
-stored dense.  Time evolution is the exact conjugation by
-exp(-i t h1), h1 = -Laplacian/2, an elementwise phase
-e^{-i t eps_k} e^{+i t eps_q} on Chat (sign pinned by the drift check in the
-tests: a state of positive momentum drifts toward larger x).
+to a dense eigendecomposition of Khat where that is cheaper.  A state holds
+Chat as its wrapped diagonals D[o, k] = Chat[k, (k + o) mod L]: the
+recurrence's band of 2 n w_K + 1 of them (folded onto all L when wider),
+or all L for any other state; dense Chat is derived on demand.  Time
+evolution is the exact conjugation by exp(-i t h1), h1 = -Laplacian/2, the
+phase e^{-i t (eps_k - eps_{k+o})} on each diagonal (sign pinned by the
+drift check in the tests: a state of positive momentum drifts toward
+larger x).
 
 Also here: the smooth high-momentum cutoff filter, the partition-of-unity
 coarse-graining window, the quasi-free relative entropy (in closed form
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -134,22 +137,49 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     return as_strided(ext[L - 1:], shape=(L, L), strides=(-step, step), writeable=False)
 
 
-def _partner(values: np.ndarray) -> np.ndarray:
-    """Read-only view Q[k, j] = values[(k + j) mod L]: what k meets on the
-    wrapped diagonal q - k = j (no L x L copy)."""
+def _shifted(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """S[i, k] = values[(k + offsets[i]) mod L]: what row k meets on each
+    wrapped diagonal q - k = offsets[i]."""
     L = values.size
     v2 = np.concatenate((values, values))
-    return as_strided(v2, shape=(L, L), strides=(v2.strides[0],) * 2, writeable=False)
+    partner = as_strided(v2, shape=(L, L), strides=(v2.strides[0],) * 2, writeable=False)
+    return partner[offsets % L]
 
 
-def _skew(chat: np.ndarray) -> np.ndarray:
-    """S[k, j] = chat[k, (k + j) mod L]: row k rotated left by k, so column j
-    holds the wrapped diagonal q - k = j."""
+def _all_offsets(L: int) -> np.ndarray:
+    """The L wrapped-diagonal offsets of a full state, -(L-1)//2 .. L//2."""
+    return np.arange(-((L - 1) // 2), L // 2 + 1)
+
+
+def _diagonal_slices(L: int, r: int):
+    """Flat positions in an L x L matrix of its wrapped diagonal q - k = r
+    (0 <= r < L): rows k < L - r, then the rows that wrap."""
+    return slice(r, r + (L - r) * (L + 1), L + 1), slice(L * (L - r), L * L, L + 1)
+
+
+def _to_diagonals(chat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """D[i, k] = chat[k, (k + offsets[i]) mod L], one strided copy per
+    diagonal (no L x L temporary)."""
     L = chat.shape[0]
-    out = np.empty_like(chat)
-    for k in range(L):
-        out[k, : L - k] = chat[k, k:]
-        out[k, L - k:] = chat[k, :k]
+    flat = np.ascontiguousarray(chat).reshape(-1)
+    out = np.empty((offsets.size, L), dtype=complex)
+    for i, r in enumerate(offsets % L):
+        head, wrap = _diagonal_slices(L, int(r))
+        out[i, : L - r] = flat[head]
+        out[i, L - r:] = flat[wrap]
+    return out
+
+
+def _to_dense(diagonals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The L x L matrix whose wrapped diagonals are `diagonals`, zero
+    elsewhere: the inverse of `_to_diagonals`."""
+    L = diagonals.shape[1]
+    out = np.zeros((L, L), dtype=complex)
+    flat = out.reshape(-1)
+    for i, r in enumerate(offsets % L):
+        head, wrap = _diagonal_slices(L, int(r))
+        flat[head] = diagonals[i, : L - r]
+        flat[wrap] = diagonals[i, L - r:]
     return out
 
 
@@ -216,29 +246,39 @@ def spectral_derivative(field_values: np.ndarray, lattice: Lattice, order: int =
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GaussianState:
-    """Quasi-free state held by its momentum-space correlation matrix
-    Chat = W C W+, with C(x, y) = <a+_y a_x>.
+    """Quasi-free state held by the wrapped diagonals of its momentum-space
+    correlation matrix Chat = W C W+, with C(x, y) = <a+_y a_x>:
 
-    `s_vn` is the von Neumann entropy when it is known exactly: from the
-    exponent's spectrum for a Gibbs state, carried unchanged through the
-    unitary maps `evolve` and `boost`; None otherwise.
+        diagonals[i, k] = Chat[k, (k + offsets[i]) mod L],
+
+    the offsets ascending, contiguous, holding 0 and distinct mod L; every
+    diagonal not stored is zero.  A local Gibbs state from the recurrence
+    stores its band, any other state all L diagonals.  Dense Chat and C are
+    derived on demand (`chat`, `C`).
+
+    `GaussianState(lattice, chat)` takes a dense Chat, checked finite and
+    Hermitian.  `s_vn` is the von Neumann entropy when it is known exactly:
+    from the exponent's spectrum for a Gibbs state, carried unchanged
+    through the unitary maps `evolve` and `boost`; None otherwise.
     """
 
     lattice: Lattice
-    chat: np.ndarray
-    s_vn: float | None = field(default=None, compare=False)
+    diagonals: np.ndarray
+    offsets: np.ndarray
+    s_vn: float | None = None
 
-    def __post_init__(self):
-        c = np.asarray(self.chat, dtype=complex)
-        if c.shape != (self.lattice.L, self.lattice.L):
+    def __init__(self, lattice: Lattice, chat: np.ndarray, s_vn: float | None = None):
+        c = np.asarray(chat, dtype=complex)
+        if c.shape != (lattice.L, lattice.L):
             raise ValueError("correlation matrix shape mismatch")
         _require_finite(c, "Chat")
         herm_gap = np.max(np.abs(c - c.conj().T))
         if herm_gap > HERM_TOL:
             raise ValueError(f"correlation matrix not Hermitian ({herm_gap:.2e})")
-        object.__setattr__(self, "chat", 0.5 * (c + c.conj().T))
+        offsets = _all_offsets(lattice.L)
+        self._set(lattice, _to_diagonals(0.5 * (c + c.conj().T), offsets), offsets, s_vn)
 
     @classmethod
     def from_position(cls, lattice: Lattice, c: np.ndarray) -> "GaussianState":
@@ -248,19 +288,29 @@ class GaussianState:
         return cls(lattice, to_momentum(c))
 
     @classmethod
-    def _exact(cls, lattice: Lattice, chat: np.ndarray, s_vn: float | None = None):
-        """State of a Chat that is finite, and Hermitian up to round-off, by
-        construction (a Gibbs build, or a unitary or filter image of a
-        checked state): skips the O(L^2) checks of the public constructor."""
+    def _exact(cls, lattice: Lattice, diagonals: np.ndarray, offsets: np.ndarray,
+               s_vn: float | None = None):
+        """State of wrapped diagonals that are finite, and Hermitian up to
+        round-off, by construction (a Gibbs build, or a unitary or filter
+        image of a checked state): skips the checks of the public
+        constructor."""
         state = object.__new__(cls)
-        object.__setattr__(state, "lattice", lattice)
-        object.__setattr__(state, "chat", chat)
-        object.__setattr__(state, "s_vn", s_vn)
+        state._set(lattice, diagonals, offsets, s_vn)
         return state
+
+    def _set(self, lattice, diagonals, offsets, s_vn):
+        for name, value in (("lattice", lattice), ("diagonals", diagonals),
+                            ("offsets", offsets), ("s_vn", s_vn)):
+            object.__setattr__(self, name, value)
 
     @property
     def L(self) -> int:
         return self.lattice.L
+
+    @property
+    def chat(self) -> np.ndarray:
+        """Dense Chat, for spectra, snapshots and dense oracles."""
+        return _to_dense(self.diagonals, self.offsets)
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -268,8 +318,8 @@ class GaussianState:
         return to_position(self.chat)
 
     def occupations(self) -> np.ndarray:
-        """Momentum-mode occupations N_k (FFT index order)."""
-        return np.einsum("kk->k", self.chat).real
+        """Momentum-mode occupations N_k (FFT index order): offset 0."""
+        return self.diagonals[-self.offsets[0]].real
 
     def vn_entropy(self) -> float:
         """-tr[C log C + (1 - C) log(1 - C)], from `s_vn` when known."""
@@ -469,16 +519,18 @@ def _chebyshev_plan(lam_field: MultiplierField, max_multiplies: float):
 
 
 def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: float, b: float):
-    """(Chat, S_vN) = (expit(Khat), tr h(Khat)) from the Chebyshev series on
-    [a, b] and Khat's 2 w + 1 wrapped diagonals `diag`.
+    """(wrapped diagonals, offsets, S_vN) of Chat = expit(Khat), with
+    S_vN = tr h(Khat), from the Chebyshev series on [a, b] and Khat's
+    2 w + 1 wrapped diagonals `diag`.
 
     T_{m+1} = 2 Kt T_m - T_{m-1} with Kt = (2 Khat - a - b)/(b - a) is run on
     wrapped diagonals: row k of the product's diagonal i + o gets
     Kt[k, k+i] T_m[k+i, k+i+o], an elementwise product with a shifted
     diagonal, and the band grows by w a step, with nothing dropped.  Offsets
     are not reduced mod L: the band is that of the periodic lift of Khat to
-    the infinite chain, which folds back onto Khat's wrapped diagonals at
-    the end, so a band wider than L needs no special case."""
+    the infinite chain, which folds back onto all L wrapped diagonals at the
+    end when it is wider than L, so that case needs nothing special.  The
+    band is then made exactly Hermitian (`_hermitian_band`)."""
     L = lattice.L
     w = (diag.shape[0] - 1) // 2
     n = len(coef_f) - 1
@@ -503,18 +555,29 @@ def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: floa
         t_prev, t_cur = t_cur, t_next
     offsets = np.arange(-width, width + 1)
     if band.shape[0] > L:
+        full = _all_offsets(L)
         folded = np.zeros((L, L), dtype=complex)
-        np.add.at(folded, offsets % L, band)
-        band, offsets = folded, np.arange(L)
-    rows = np.broadcast_to(np.arange(L), band.shape)
-    cols = (rows + offsets[:, None]) % L
-    chat = np.zeros((L, L), dtype=complex)
-    chat[rows, cols] = band
-    # mirror the strict upper triangle from the lower one: exactly Hermitian
-    up = cols > rows
-    chat[rows[up], cols[up]] = chat[cols[up], rows[up]].conj()
-    chat.flat[:: L + 1] = chat.flat[:: L + 1].real
-    return chat, float(s_vn)
+        np.add.at(folded, (offsets - full[0]) % L, band)
+        band, offsets = folded, full
+    return _hermitian_band(band, offsets), offsets, float(s_vn)
+
+
+def _hermitian_band(band: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Make stored diagonals exactly Hermitian, in place: Chat[k, k - o] =
+    conj(Chat[k - o, k]), so the diagonal at -o is the conjugate of the one
+    at +o rolled by o, the main diagonal is real, and an even L's Nyquist
+    diagonal (o = L/2, its own partner) takes its second half from its
+    first.  Offsets as `GaussianState` holds them, with -o stored for every
+    stored o > 0 but the Nyquist one."""
+    L = band.shape[1]
+    zero = -offsets[0]
+    band[zero] = band[zero].real
+    for o in range(1, offsets[-1] + 1):
+        if 2 * o == L:
+            band[zero + o, o:] = band[zero + o, :o].conj()
+        else:
+            band[zero - o] = np.roll(band[zero + o], o).conj()
+    return band
 
 
 def gibbs_chebyshev(lam_field: MultiplierField) -> GaussianState:
@@ -564,14 +627,16 @@ def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianStat
     if plan is not None:
         return GaussianState._exact(lattice, *_gibbs_chebyshev(lattice, *plan))
     kappa, vecs = eigh(gibbs_exponent(lam_field), overwrite_a=True, check_finite=False)
-    chat = _gram(vecs * np.sqrt(expit(kappa)))
-    return GaussianState._exact(lattice, chat, _mode_entropy(kappa))
+    offsets = _all_offsets(lattice.L)
+    diagonals = _to_diagonals(_gram(vecs * np.sqrt(expit(kappa))), offsets)
+    return GaussianState._exact(lattice, diagonals, offsets, _mode_entropy(kappa))
 
 
 def evolve(state: GaussianState, t: float) -> GaussianState:
     """Free evolution C(t) = e^{-i t h1} C e^{+i t h1}: in the momentum
     eigenbasis of h1 = -Laplacian/2 the phase e^{-i t eps_k} e^{+i t eps_q}
-    on Chat, exact (no time-stepping error).
+    on Chat, q = k + o on each stored diagonal, exact (no time-stepping
+    error).
 
     The sign makes positive-momentum states drift toward larger x, which is
     the convention the drift test pins down.
@@ -579,9 +644,9 @@ def evolve(state: GaussianState, t: float) -> GaussianState:
     if not np.isfinite(t):
         raise ValueError("time must be finite")
     phase = np.exp(-1j * t * state.lattice.dispersion)
-    chat = phase[:, None] * state.chat
-    chat *= phase.conj()
-    return GaussianState._exact(state.lattice, chat, state.s_vn)
+    diagonals = state.diagonals * phase
+    diagonals *= _shifted(phase.conj(), state.offsets)
+    return GaussianState._exact(state.lattice, diagonals, state.offsets, state.s_vn)
 
 
 # ---------------------------------------------------------------------------
@@ -589,31 +654,33 @@ def evolve(state: GaussianState, t: float) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_sums(lattice: Lattice, chat: np.ndarray, rate: bool = False) -> list:
-    """Sums of the density symbols 1, (p_k + p_q)/2 and p_k p_q / 2 times
-    Chat over each wrapped diagonal q = k + j, from one skewed copy of Chat;
-    with `rate`, of d/dt Chat under `evolve`: the copy is multiplied in place
-    by the generator's -i (eps_k - eps_q)."""
-    diag = _skew(chat)
+def _diagonal_sums(state: GaussianState, rate: bool = False) -> np.ndarray:
+    """Sums E[j], j = 0..L-1, of the density symbols 1, (p_k + p_q)/2 and
+    p_k p_q / 2 times Chat over each wrapped diagonal q = k + j, from the
+    stored diagonals (the others sum to 0); with `rate`, of d/dt Chat under
+    `evolve`: a copy multiplied by the generator's -i (eps_k - eps_q)."""
+    L, diag, offsets = state.L, state.diagonals, state.offsets
     if rate:
-        eps = lattice.dispersion
-        np.multiply(diag, eps[:, None] - _partner(eps), out=diag)
+        eps = state.lattice.dispersion
+        diag = diag * (eps - _shifted(eps, offsets))
         diag *= -1j
-    p = lattice.momenta
-    p_q = _partner(p) * diag
-    return [diag.sum(axis=0), 0.5 * (p @ diag + p_q.sum(axis=0)), 0.5 * (p @ p_q)]
+    p = state.lattice.momenta
+    p_q = _shifted(p, offsets) * diag
+    sums = np.zeros((3, L), dtype=complex)
+    sums[:, offsets % L] = [diag.sum(axis=1), 0.5 * (diag @ p + p_q.sum(axis=1)),
+                            0.5 * (p_q @ p)]
+    return sums
 
 
 def densities(state: GaussianState) -> DensityFields:
     """Conserved densities (n, p, h): symbols 1, (p_k + p_q)/2, p_k p_q / 2."""
-    return DensityFields(*(_site_field(s) for s in _diagonal_sums(state.lattice, state.chat)))
+    return DensityFields(*(_site_field(s) for s in _diagonal_sums(state)))
 
 
 def densities_rate(state: GaussianState) -> DensityFields:
     """Exact micro-time derivative of `densities` under `evolve`: the fields
     of the generator d/dt Chat = -i (eps_k - eps_q) Chat."""
-    sums = _diagonal_sums(state.lattice, state.chat, rate=True)
-    return DensityFields(*(_site_field(s) for s in sums))
+    return DensityFields(*(_site_field(s) for s in _diagonal_sums(state, rate=True)))
 
 
 def currents(state: GaussianState, cutoff: "MomentumCutoff | None" = None) -> CurrentTensor:
@@ -637,7 +704,7 @@ def currents(state: GaussianState, cutoff: "MomentumCutoff | None" = None) -> Cu
     live = (j > 0) & (2 * j != lat.L)
     ratio = np.zeros(lat.L, dtype=complex)
     ratio[live] = 1j / p[-j[live]]
-    sums = [ratio * s for s in _diagonal_sums(lat, state.chat, rate=True)]
+    sums = ratio * _diagonal_sums(state, rate=True)
     v = p * state.occupations()
     for s, main in zip(sums, (v.sum(), p @ v, 0.5 * (p * p) @ v)):
         s[0] = main
@@ -647,9 +714,10 @@ def currents(state: GaussianState, cutoff: "MomentumCutoff | None" = None) -> Cu
 def boost(state: GaussianState, n_modes: int) -> GaussianState:
     """Multiply C by phases e^{i s (x - y)} with s = 2 pi n_modes / L, the
     lattice version of the velocity-boost automorphism: in momentum, the
-    cyclic shift Chat[k, q] -> Chat[k - n_modes, q - n_modes]."""
-    chat = np.roll(state.chat, (n_modes, n_modes), axis=(0, 1))
-    return GaussianState._exact(state.lattice, chat, state.s_vn)
+    cyclic shift Chat[k, q] -> Chat[k - n_modes, q - n_modes], a roll of
+    each stored diagonal along k."""
+    diagonals = np.roll(state.diagonals, n_modes, axis=1)
+    return GaussianState._exact(state.lattice, diagonals, state.offsets, state.s_vn)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +750,9 @@ class MomentumCutoff:
         """C_M = Phi C Phi+ with the contraction-normalized transfer: the
         smeared matrix is again a valid correlation matrix."""
         t = self.transfer / self.operator_scale
-        return GaussianState._exact(state.lattice, t[:, None] * state.chat * t)
+        diagonals = state.diagonals * t
+        diagonals *= _shifted(t, state.offsets)
+        return GaussianState._exact(state.lattice, diagonals, state.offsets)
 
 
 def momentum_cutoff(lattice: Lattice, M: float) -> MomentumCutoff:
@@ -783,9 +853,11 @@ def rel_entropy_gaussian(
 
         S = -S_vN(gamma) - tr(Chat_gamma Khat) + sum_j log(1 + e^{kappa_j}),
 
-    with kappa the spectrum of Khat and S_vN(gamma) from `vn_entropy` (exact
-    for an evolved Gibbs state).  When omega is a state, both spectra are
-    used:
+    with kappa the spectrum of Khat, S_vN(gamma) from `vn_entropy` (exact
+    for an evolved Gibbs state) and tr(Chat_gamma Khat) the signed pairing
+    sum_x (lam0 n + lam1 p - lam4 h) of omega's multipliers with gamma's
+    `densities` (Khat is linear in the fields).  When omega is a state,
+    both spectra are used:
 
         S = tr[Cg (log Cg - log Cw)] + tr[(1-Cg)(log(1-Cg) - log(1-Cw))],
 
@@ -795,12 +867,12 @@ def rel_entropy_gaussian(
     if gamma.L != omega.lattice.L:
         raise ValueError("states live on different lattices")
     if isinstance(omega, MultiplierField):
-        khat = gibbs_exponent(omega)
-        cross = float(np.vdot(khat, gamma.chat).real)
-        kappa = eigh(khat, eigvals_only=True, overwrite_a=True, check_finite=False)
+        cross = _pairing((omega.lam0, omega.lam1, omega.lam4), densities(gamma).stack())
+        kappa = eigh(gibbs_exponent(omega), eigvals_only=True, overwrite_a=True,
+                     check_finite=False)
         total = float(np.sum(np.logaddexp(0.0, kappa))) - cross - gamma.vn_entropy()
         return total, total / gamma.L
-    if gamma is omega or gamma.chat is omega.chat:
+    if gamma is omega or gamma.diagonals is omega.diagonals:
         return 0.0, 0.0
     vg, wg = eigh(gamma.chat)
     vw, ww = eigh(omega.chat)

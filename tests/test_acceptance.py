@@ -24,6 +24,7 @@ DESCRIPTIONS = {
     8: "window partition of unity and cutoff Fourier properties",
     9: "Euler conservation, fixed point, L1 order >= 0.8",
     10: "hydro-compare trend at T = 0 and entropy-track start",
+    11: "banded Gibbs states vs their dense Chat: fields, rates, currents, entropies, 1e-13",
 }
 
 CRITERION_CHECK_PREFIXES = {
@@ -37,6 +38,7 @@ CRITERION_CHECK_PREFIXES = {
     8: ["micro.window", "micro.cutoff"],
     9: ["euler."],
     10: ["hydro."],
+    11: ["micro.banded_vs_dense"],
 }
 
 

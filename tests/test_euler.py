@@ -270,9 +270,24 @@ class TestRun:
         run(bump_field(64), 0.02, MacroGrid(64), counting, snapshot_times=[0.01])
         steps = calls["step"]
         assert steps > 2
-        assert calls["wave_speed_bound"] == 2 * steps
-        assert counting.partials_calls == 2 * steps
-        assert counting.pressure_calls == 2 * steps
+        # two per step, but the partial step branched off to T = 0.01 and
+        # the full step that continues from the same state share its
+        # first-stage evaluation
+        assert calls["wave_speed_bound"] == 2 * steps - 1
+        assert counting.partials_calls == 2 * steps - 1
+        assert counting.pressure_calls == 2 * steps - 1
+
+    def test_report_times_leave_the_trajectory(self, closure):
+        # the partial steps to report times are branches: the state at T is
+        # bitwise the same whichever other times were asked for
+        grid = MacroGrid(64)
+        q0 = bump_field(64)
+        plain = run(q0, 0.02, grid, closure)
+        stops = run(q0, 0.02, grid, closure, snapshot_times=[0.0031, 0.01, 0.0152])
+        assert stops.times == [0.0, 0.0031, 0.01, 0.0152, 0.02]
+        assert np.array_equal(stops.snapshots[-1].stack(), plain.snapshots[-1].stack())
+        short = run(q0, 0.01, grid, closure)
+        assert np.array_equal(stops.at(0.01).stack(), short.snapshots[-1].stack())
 
     def test_self_convergence_order(self, closure):
         sols = {}

@@ -177,13 +177,13 @@ class TestExperiments:
         grid = euler.MacroGrid(cfg.n_cells)
         q0 = euler.initial_q_field(cfg.profile["kind"], cfg.profile["params"], grid, model)
         t, h = 0.01, 1e-5
-        traj = euler.run(q0, t + h, grid, closure, snapshot_times=[t - h, t, t + h])
-        lam = {s: np.stack(euler.lambda_field_of(traj.at(s), model), axis=-1)
-               for s in (t - h, t, t + h)}
-        fd = (lam[t + h] - lam[t - h]) / (2 * h)
-        rate = experiments.multiplier_rate(
-            euler.EulerSolution(grid, traj.at(t), t, closure), lam[t]
-        )
+        sols = [euler.EulerSolution(grid, euler.run(q0, t - h, grid, closure).snapshots[-1],
+                                    t - h, closure)]
+        for _ in range(2):
+            sols.append(euler.step(sols[-1], h))
+        lam = [np.stack(euler.lambda_field_of(s.q, model), axis=-1) for s in sols]
+        fd = (lam[2] - lam[0]) / (2 * h)
+        rate = experiments.multiplier_rate(sols[1], lam[1])
         scale = np.abs(rate).max(axis=0)
         assert np.all(np.abs(rate - fd).max(axis=0) <= 1e-8 * scale)
 

@@ -1,6 +1,7 @@
 """Quasi-free lattice states: construction, dynamics, currents, windows."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,10 +230,11 @@ class TestGibbs:
 
     def test_nan_field_names_site(self):
         lat = Lattice(16)
-        chat = gibbs_gaussian(lat, smooth_field(lat, seed=1)).chat.copy()
-        chat[4, 4] = np.nan
+        st = gibbs_gaussian(lat, smooth_field(lat, seed=1))
+        diagonals = st.diagonals.copy()
+        diagonals[-st.offsets[0], 4] = np.nan  # Chat[4, 4]
         # a state that got past the constructor's checks
-        poisoned = GaussianState._exact(lat, chat)
+        poisoned = GaussianState._exact(lat, diagonals, st.offsets)
         with pytest.raises(NonFinite, match="field is not finite at site 0"):
             densities(poisoned)
         values = np.ones(16, dtype=complex)
@@ -346,6 +348,129 @@ class TestChebyshevGibbs:
             gibbs_chebyshev(lf)
         chat, _ = dense_gibbs(lf)
         assert np.array_equal(gibbs_gaussian(lat, lf).chat, chat)
+
+
+def hot_field(lattice):
+    """A one-harmonic field hot enough (lam4 ~ 0.4) that the recurrence's
+    degree is low: a band of 37 diagonals, narrower than 63 sites."""
+    X = lattice.sites * lattice.epsilon
+    return MultiplierField(lattice, 0.1 + 0.05 * np.cos(2 * np.pi * X),
+                           0.05 * np.sin(2 * np.pi * X),
+                           0.4 + 0.04 * np.cos(2 * np.pi * X + 0.3))
+
+
+class TestBandedState:
+    """States from the recurrence hold their band of wrapped diagonals: every
+    map and readout against the dense Chat oracles, at the tolerances of the
+    dense-path tests."""
+
+    @staticmethod
+    def gibbs(L, kind):
+        """The state and its field: a band narrower than L, or one folded
+        onto all L diagonals."""
+        lat = Lattice(L)
+        lf = hot_field(lat) if kind == "band" else lambda_cos_field(lat)
+        st = gibbs_chebyshev(lf)
+        assert (st.diagonals.shape[0] < L) == (kind == "band")
+        return st, lf
+
+    @pytest.mark.parametrize("L", [63, 64, 65])
+    @pytest.mark.parametrize("kind", ["band", "folded"])
+    def test_fields_rates_currents_against_dense(self, L, kind):
+        st = evolve(self.gibbs(L, kind)[0], 0.3 * L)
+        lat = st.lattice
+        chat = st.chat
+        rate = generator(lat, chat)
+        flux = flux_symbol(lat)
+        cut = momentum_cutoff(lat, 1.5)
+        t = cut.transfer / cut.operator_scale
+        smeared = t[:, None] * chat * t
+        for sym, n, dn, w, w_cut in zip(density_symbols(lat), densities(st).stack(),
+                                        densities_rate(st).stack(), currents(st).stack(),
+                                        currents(st, cut).stack()):
+            assert np.max(np.abs(n - fft_diagonal_field(sym, chat))) < 1e-13
+            assert np.max(np.abs(dn - fft_diagonal_field(sym, rate))) < 1e-13
+            assert np.max(np.abs(w - fft_diagonal_field(sym * flux, chat))) < 1e-13
+            assert np.max(np.abs(w_cut - fft_diagonal_field(sym * flux, smeared))) < 1e-13
+        assert np.max(np.abs(densities_rate(st).stack())) > 1e-4
+
+    @pytest.mark.parametrize("L", [63, 64, 65])
+    @pytest.mark.parametrize("kind", ["band", "folded"])
+    def test_evolve_boost_and_entropies_against_dense(self, L, kind):
+        st, lf = self.gibbs(L, kind)
+        lat = st.lattice
+        chat = st.chat
+        for t in (0.7, -2.3, 0.3 * L):
+            phase = np.exp(-1j * t * lat.dispersion)
+            oracle = phase[:, None] * chat * phase.conj()
+            assert np.max(np.abs(evolve(st, t).chat - oracle)) < 1e-14
+        assert np.array_equal(boost(st, 5).chat, np.roll(chat, (5, 5), axis=(0, 1)))
+        vals = np.clip(np.linalg.eigvalsh(chat), 1e-300, 1.0 - 1e-16)
+        dense_s = -np.sum(vals * np.log(vals) + (1 - vals) * np.log1p(-vals))
+        assert st.s_vn == pytest.approx(dense_s, abs=1e-11)
+        # against a nearby reference, the closed form of the banded state and
+        # the two-spectrum form of either state against that of the dense Chat
+        gamma = evolve(st, 0.3 * L)
+        bare = GaussianState(lat, gamma.chat)
+        near = MultiplierField(lat, 1.05 * lf.lam0, lf.lam1, 1.02 * lf.lam4)
+        omega = gibbs_gaussian(lat, near)
+        two_spectrum = rel_entropy_gaussian(bare, omega)[0]
+        assert two_spectrum > 1e-4
+        assert rel_entropy_gaussian(gamma, near)[0] == pytest.approx(two_spectrum, abs=1e-12)
+        assert rel_entropy_gaussian(gamma, omega)[0] == pytest.approx(two_spectrum, abs=1e-12)
+
+    def test_band_wider_than_the_lattice_folds(self):
+        lat = Lattice(64)
+        lf = lambda_cos_field(lat)
+        diag, coef_f = micro._chebyshev_plan(lf, np.inf)[:2]
+        assert (diag.shape[0] - 1) * (len(coef_f) - 1) + 1 > 64  # 2 n w + 1
+        st = gibbs_chebyshev(lf)
+        assert np.array_equal(st.offsets, np.arange(-31, 33))
+        chat, s_vn = dense_gibbs(lf)
+        assert np.max(np.abs(st.chat - chat)) <= 1e-12
+        assert np.array_equal(st.chat, st.chat.conj().T)
+
+    def test_even_lattice_nyquist_diagonal(self):
+        # the folded band of an even L stores the offset L/2 once, as its own
+        # Hermitian partner: its second half is the conjugate of its first
+        lat = Lattice(8)
+        lf = lambda_cos_field(lat)
+        st = gibbs_chebyshev(lf)
+        nyquist = st.diagonals[st.offsets == 4][0]
+        assert np.max(np.abs(nyquist)) > 1e-6
+        assert np.array_equal(nyquist[4:], nyquist[:4].conj())
+        k = np.arange(8)
+        assert np.array_equal(st.chat[k, (k + 4) % 8], nyquist)
+        assert np.array_equal(st.chat, st.chat.conj().T)
+        chat, _ = dense_gibbs(lf)
+        assert np.max(np.abs(st.chat - chat)) <= 1e-12
+        for sym, n in zip(density_symbols(lat), densities(st).stack()):
+            assert np.max(np.abs(n - fft_diagonal_field(sym, chat))) < 1e-13
+
+    def test_dense_input_holds_every_diagonal(self, rng):
+        lat = Lattice(64)
+        a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        chat = 0.5 * (a + a.conj().T)
+        st = GaussianState(lat, chat)
+        assert np.array_equal(st.offsets, np.arange(-31, 33))
+        assert np.array_equal(st.chat, chat)
+        assert np.array_equal(st.occupations(), chat.diagonal().real)
+
+    def test_lambda_cos_at_4096_stays_far_below_one_dense_matrix(self):
+        # one dense L x L complex Chat at L = 4096 is 256 MiB; the banded
+        # build, evolution, fields, rates and currents peak at 36 MiB, the
+        # recurrence's band of 97 diagonals and its three Chebyshev terms
+        lat = Lattice(4096)
+        lf = lambda_cos_field(lat)
+        tracemalloc.start()
+        try:
+            st = evolve(gibbs_gaussian(lat, lf), 0.02 * 4096)
+            densities(st), densities_rate(st), currents(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.diagonals.shape == (97, 4096)
+        assert peak < 64 * 2**20
 
 
 class TestEvolve:
@@ -880,6 +1005,19 @@ class TestSerialization:
         assert back.L == 12
         assert np.max(np.abs(back.chat - st.chat)) < 1e-15
         assert np.max(np.abs(back.C - c)) < 1e-15
+
+    def test_banded_state_roundtrip(self, tmp_path):
+        # a band of 97 of 128 diagonals written as the dense C of FEGSNAP1
+        lat = Lattice(128)
+        st = gibbs_chebyshev(lambda_cos_field(lat))
+        assert st.diagonals.shape == (97, 128)
+        path = tmp_path / "band.bin"
+        save_state(st, path, t=2.0)
+        back, t = load_state(path)
+        assert t == 2.0
+        assert back.diagonals.shape == (128, 128)
+        assert np.max(np.abs(back.C - st.C)) < 1e-15
+        assert np.max(np.abs(back.chat - st.chat)) < 1e-15
 
     @pytest.mark.parametrize("change,found", [(-16, "found 527"), (8, "found 528.5")])
     def test_wrong_length_snapshot_rejected(self, tmp_path, change, found):
