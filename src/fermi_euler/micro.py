@@ -537,22 +537,39 @@ def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: floa
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     k_t = diag / half
     k_t[w] -= mid / half
+    k2 = 2.0 * k_t
     width = n * w
     band = np.zeros((2 * width + 1, L), dtype=complex)
     band[width] = coef_f[0]
     s_vn = coef_h[0] * L
-    t_prev, t_cur = np.ones((1, L), dtype=complex), k_t
+    # T_{m-1} and T_m by absolute offset (row o + top), each row with a
+    # periodic halo of w columns on both sides (column w + k holds k), so the
+    # partner T_m[k + i, .] of a product is the slice at columns w + i on;
+    # T_{m+1} is written over T_{m-1}, whose row o it alone reads
+    top = width + w
+    t_prev = np.zeros((2 * top + 1, L + 2 * w), dtype=complex)
+    t_cur = np.zeros_like(t_prev)
+    t_prev[top] = 1.0
+    t_cur[top - w: top + w + 1, w: w + L] = k_t
+    _wrap_halo(t_cur[top - w: top + w + 1], w)
+    chunk = np.empty((max(1, 2**14 // L), L), dtype=complex)
     for m in range(1, n + 1):
         h = m * w  # half-width of t_cur = T_m
-        band[width - h: width + h + 1] += coef_f[m] * t_cur
-        s_vn += coef_h[m] * t_cur[h % L:: L].sum().real  # offsets = 0 mod L
+        for r0, r1, buf in _row_chunks(-h, h + 1, chunk):
+            band[width + r0: width + r1] += np.multiply(
+                coef_f[m], t_cur[top + r0: top + r1, w: w + L], out=buf)
+        # offsets = 0 mod L
+        s_vn += coef_h[m] * t_cur[top - h + h % L: top + h + 1: L, w: w + L].sum().real
         if m == n:
             break
-        t_next = np.zeros((2 * (h + w) + 1, L), dtype=complex)
-        t_next[2 * w: 2 * h + 1] -= t_prev
-        for i in range(-w, w + 1):
-            t_next[w + i: w + i + 2 * h + 1] += (2.0 * k_t[w + i]) * np.roll(t_cur, -i, axis=1)
-        t_prev, t_cur = t_cur, t_next
+        for r0, r1, buf in _row_chunks(-h - w, h + w + 1, chunk):
+            rows = t_prev[top + r0: top + r1, w: w + L]
+            np.negative(rows, out=rows)
+            for i in range(-w, w + 1):
+                rows += np.multiply(k2[w + i], t_cur[top + r0 - i: top + r1 - i, w + i: w + i + L],
+                                    out=buf)
+        _wrap_halo(t_prev[top - h - w: top + h + w + 1], w)
+        t_prev, t_cur = t_cur, t_prev
     offsets = np.arange(-width, width + 1)
     if band.shape[0] > L:
         full = _all_offsets(L)
@@ -560,6 +577,22 @@ def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: floa
         np.add.at(folded, (offsets - full[0]) % L, band)
         band, offsets = folded, full
     return _hermitian_band(band, offsets), offsets, float(s_vn)
+
+
+def _wrap_halo(rows: np.ndarray, w: int) -> None:
+    """Fill the w halo columns on each side of rows whose columns w .. w + L - 1
+    hold k = 0 .. L - 1, periodically."""
+    L = rows.shape[1] - 2 * w
+    rows[:, :w] = rows[:, L: L + w]
+    rows[:, L + w:] = rows[:, w: 2 * w]
+
+
+def _row_chunks(start: int, stop: int, chunk: np.ndarray):
+    """(r0, r1, the first r1 - r0 rows of chunk) over start .. stop - 1 in
+    runs of chunk's rows."""
+    for r0 in range(start, stop, chunk.shape[0]):
+        r1 = min(r0 + chunk.shape[0], stop)
+        yield r0, r1, chunk[: r1 - r0]
 
 
 def _hermitian_band(band: np.ndarray, offsets: np.ndarray) -> np.ndarray:
