@@ -539,44 +539,56 @@ def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: floa
     k_t[w] -= mid / half
     k2 = 2.0 * k_t
     width = n * w
-    band = np.zeros((2 * width + 1, L), dtype=complex)
-    band[width] = coef_f[0]
+    # the band's offsets 0 .. width, row o
+    band = np.zeros((width + 1, L), dtype=complex)
+    band[0] = coef_f[0]
     s_vn = coef_h[0] * L
-    # T_{m-1} and T_m by absolute offset (row o + top), each row with a
+    # T_{m-1} and T_m at offsets -w .. width + w, row w + o, each row with a
     # periodic halo of w columns on both sides (column w + k holds k), so the
-    # partner T_m[k + i, .] of a product is the slice at columns w + i on;
-    # T_{m+1} is written over T_{m-1}, whose row o it alone reads
-    top = width + w
-    t_prev = np.zeros((2 * top + 1, L + 2 * w), dtype=complex)
+    # partner T_m[k + i, .] of a product is the slice at columns w + i on.
+    # T_{m+1} is written over T_{m-1}, whose row o it alone reads, at offsets
+    # >= 0 only; its rows -w .. -1 are mirrored from 1 .. w, as T is Hermitian
+    t_prev = np.zeros((width + 2 * w + 1, L + 2 * w), dtype=complex)
     t_cur = np.zeros_like(t_prev)
-    t_prev[top] = 1.0
-    t_cur[top - w: top + w + 1, w: w + L] = k_t
-    _wrap_halo(t_cur[top - w: top + w + 1], w)
-    chunk = np.empty((max(1, 2**14 // L), L), dtype=complex)
+    t_prev[w] = 1.0
+    t_cur[: 2 * w + 1, w: w + L] = k_t
+    _wrap_halo(t_cur[: 2 * w + 1], w)
+    chunk = np.empty((max(1, 2**12 // L), L), dtype=complex)  # 64 KiB
     for m in range(1, n + 1):
-        h = m * w  # half-width of t_cur = T_m
-        for r0, r1, buf in _row_chunks(-h, h + 1, chunk):
-            band[width + r0: width + r1] += np.multiply(
-                coef_f[m], t_cur[top + r0: top + r1, w: w + L], out=buf)
-        # offsets = 0 mod L
-        s_vn += coef_h[m] * t_cur[top - h + h % L: top + h + 1: L, w: w + L].sum().real
+        h = m * w  # T_m's widest offset
+        for r0, r1, buf in _row_chunks(0, h + 1, chunk):
+            band[r0: r1] += np.multiply(coef_f[m], t_cur[w + r0: w + r1, w: w + L], out=buf)
+        # offsets 0 mod L: 0, and the conjugate pairs +-L, +-2L, ...
+        traces = t_cur[w: w + h + 1: L, w: w + L].sum(axis=1).real
+        s_vn += coef_h[m] * (2.0 * traces.sum() - traces[0])
         if m == n:
             break
-        for r0, r1, buf in _row_chunks(-h - w, h + w + 1, chunk):
-            rows = t_prev[top + r0: top + r1, w: w + L]
+        for r0, r1, buf in _row_chunks(0, h + w + 1, chunk):
+            rows = t_prev[w + r0: w + r1, w: w + L]
             np.negative(rows, out=rows)
             for i in range(-w, w + 1):
-                rows += np.multiply(k2[w + i], t_cur[top + r0 - i: top + r1 - i, w + i: w + i + L],
+                rows += np.multiply(k2[w + i], t_cur[w + r0 - i: w + r1 - i, w + i: w + i + L],
                                     out=buf)
-        _wrap_halo(t_prev[top - h - w: top + h + w + 1], w)
+        _wrap_halo(t_prev[w: 2 * w + h + 1], w)
+        for o in range(1, w + 1):  # T[k, k - o] = conj(T[k - o, k])
+            np.conjugate(t_prev[w + o, w - o: w - o + L], out=t_prev[w - o, w: w + L])
+        _wrap_halo(t_prev[:w], w)
         t_prev, t_cur = t_cur, t_prev
+    del t_prev, t_cur
     offsets = np.arange(-width, width + 1)
-    if band.shape[0] > L:
+    if 2 * width + 1 > L:
+        # the lifted band, mirrored whole, folds onto all L diagonals
+        lifted = np.empty((2 * width + 1, L), dtype=complex)
+        lifted[width:] = band
+        for o in range(1, width + 1):
+            lifted[width - o] = np.roll(band[o], o).conj()
         full = _all_offsets(L)
         folded = np.zeros((L, L), dtype=complex)
-        np.add.at(folded, (offsets - full[0]) % L, band)
-        band, offsets = folded, full
-    return _hermitian_band(band, offsets), offsets, float(s_vn)
+        np.add.at(folded, (offsets - full[0]) % L, lifted)
+        return _hermitian_band(folded, full), full, float(s_vn)
+    out = np.empty((2 * width + 1, L), dtype=complex)
+    out[width:] = band
+    return _hermitian_band(out, offsets), offsets, float(s_vn)
 
 
 def _wrap_halo(rows: np.ndarray, w: int) -> None:
