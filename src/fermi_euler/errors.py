@@ -50,10 +50,6 @@ class BadWindow(FermiEulerError):
     """Coarse-graining window incompatible with the lattice."""
 
 
-class MomentDiverges(FermiEulerError):
-    """Gaussian-weighted momentum moment grows at the zone edge."""
-
-
 class VacuumCell(FermiEulerError):
     """Flux evaluation on a cell with nonpositive particle density."""
 

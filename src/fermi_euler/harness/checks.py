@@ -458,8 +458,9 @@ def check_micro_chebyshev(rng, tol):
 
 def check_micro_banded(rng, tol):
     """The banded state against its dense Chat, on evolved Chebyshev Gibbs
-    states of smooth fields: L = 256 holds 193 of its 256 diagonals, and
-    L = 128 and 127 the band folded onto all of them.  Densities and rates
+    states of smooth fields: at L = 256 the recurrence's band of 193
+    diagonals, at L = 128 and 127 its band folded onto all of them, each
+    cut to the 27-43 above round-off.  Densities and rates
     against the dense readout of their symbol matrices, diag W+ (S * M) W;
     currents (bare and smeared), S_vN and the closed-form relative entropy
     against the state rebuilt from the dense Chat, whose entropy comes from

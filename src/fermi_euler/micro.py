@@ -29,11 +29,14 @@ and Chat = (1 + exp(-Khat))^-1.  Khat has one wrapped diagonal per Fourier
 mode of the fields above round-off (2 w_K + 1 in all), so `gibbs_gaussian`
 builds Chat and its entropy from Chebyshev series of the Fermi function and
 of the mode entropy, run as a three-term recurrence on wrapped diagonals
-(a Fermi-operator expansion, O(L n^2 w_K^2) for degree n), and falls back
-to a dense eigendecomposition of Khat where that is cheaper.  A state holds
-Chat as its wrapped diagonals D[o, k] = Chat[k, (k + o) mod L]: the
-recurrence's band of 2 n w_K + 1 of them (folded onto all L when wider),
-or all L for any other state; dense Chat is derived on demand.  Time
+(a Fermi-operator expansion, O(L n^2 w_K^2) for degree n, on the
+Hermitian half of each term), and falls back to a dense eigendecomposition
+of Khat where that is cheaper.  A state holds Chat as its wrapped diagonals
+D[o, k] = Chat[k, (k + o) mod L]: for the recurrence, its band of
+2 n w_K + 1 (folded onto all L when wider) cut to the offsets whose entries
+are above round-off, the dropped ones bounded in the 2-norm by CHEB_TOL
+(about 23-41 of them for the smooth fields here, whatever L); all L for
+any other state.  Dense Chat is derived on demand.  Time
 evolution is the exact conjugation by exp(-i t h1), h1 = -Laplacian/2, the
 phase e^{-i t (eps_k - eps_{k+o})} on each diagonal (sign pinned by the
 drift check in the tests: a state of positive momentum drifts toward
@@ -45,7 +48,7 @@ against a local Gibbs reference) and its production rate against a moving
 reference, given the rate of its multipliers, from the conservation laws:
 Khat is linear in the fields, so the rate pairs the multipliers with the
 exact density rates and their rate with the gap to the reference's
-densities.  Last, the cutoff/moment assumption checks.
+densities.  Last, the state snapshots (`save_state`, `load_state`).
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from .eos import brillouin_momenta
 from .errors import (
     BadWindow,
     CutoffTooLarge,
-    MomentDiverges,
     NonFinite,
     NonpositiveBeta,
     SingularReference,
@@ -80,7 +82,7 @@ EIG_CLIP = 1e-12
 # `gibbs_gaussian`
 MODE_FLOOR = 4.0
 CHEB_TOL = 1e-14
-CHEB_CROSSOVER = 0.1
+CHEB_CROSSOVER = 0.05
 # the coefficients' round-off, ~3e-18 each, summed over the >= n past a
 # degree n much above this would reach CHEB_TOL
 CHEB_MAX_DEGREE = 2048
@@ -255,19 +257,23 @@ class GaussianState:
 
     the offsets ascending, contiguous, holding 0 and distinct mod L; every
     diagonal not stored is zero.  A local Gibbs state from the recurrence
-    stores its band, any other state all L diagonals.  Dense Chat and C are
-    derived on demand (`chat`, `C`).
+    stores its band cut to the diagonals above round-off, any other state
+    all L diagonals.  Dense Chat and C are derived on demand (`chat`, `C`).
 
     `GaussianState(lattice, chat)` takes a dense Chat, checked finite and
     Hermitian.  `s_vn` is the von Neumann entropy when it is known exactly:
     from the exponent's spectrum for a Gibbs state, carried unchanged
     through the unitary maps `evolve` and `boost`; None otherwise.
+    `cut_bound` bounds ||Chat - stored||_2 from the diagonals the band cut
+    dropped (`_band_cut`), <= CHEB_TOL; 0 for a state that drops none.
+    `evolve`, `boost` and the contraction `MomentumCutoff.smear` carry it.
     """
 
     lattice: Lattice
     diagonals: np.ndarray
     offsets: np.ndarray
     s_vn: float | None = None
+    cut_bound: float = 0.0
 
     def __init__(self, lattice: Lattice, chat: np.ndarray, s_vn: float | None = None):
         c = np.asarray(chat, dtype=complex)
@@ -289,18 +295,18 @@ class GaussianState:
 
     @classmethod
     def _exact(cls, lattice: Lattice, diagonals: np.ndarray, offsets: np.ndarray,
-               s_vn: float | None = None):
+               s_vn: float | None = None, cut_bound: float = 0.0):
         """State of wrapped diagonals that are finite, and Hermitian up to
         round-off, by construction (a Gibbs build, or a unitary or filter
         image of a checked state): skips the checks of the public
         constructor."""
         state = object.__new__(cls)
-        state._set(lattice, diagonals, offsets, s_vn)
+        state._set(lattice, diagonals, offsets, s_vn, cut_bound)
         return state
 
-    def _set(self, lattice, diagonals, offsets, s_vn):
+    def _set(self, lattice, diagonals, offsets, s_vn, cut_bound=0.0):
         for name, value in (("lattice", lattice), ("diagonals", diagonals),
-                            ("offsets", offsets), ("s_vn", s_vn)):
+                            ("offsets", offsets), ("s_vn", s_vn), ("cut_bound", cut_bound)):
             object.__setattr__(self, name, value)
 
     @property
@@ -490,9 +496,9 @@ def _chebyshev_series(a: float, b: float, max_degree: float):
 
 def _chebyshev_multiplies(n: int, w: int, L: int) -> int:
     """Complex multiplies of the n-step recurrence, to leading order: step m
-    multiplies a band of 2 m w + 1 diagonals by each of K's 2 w + 1, and
-    adds it to Chat."""
-    return (2 * w + 1) * L * (w * n * (n + 1) + n)
+    multiplies the band's half at offsets >= 0, m w + 1 diagonals, by each
+    of K's 2 w + 1, and adds it to Chat."""
+    return (2 * w + 1) * L * (w * n * (n + 1) // 2 + n)
 
 
 def _chebyshev_plan(lam_field: MultiplierField, max_multiplies: float):
@@ -511,7 +517,8 @@ def _chebyshev_plan(lam_field: MultiplierField, max_multiplies: float):
     diag = _exponent_diagonals(lattice, modes, w)
     radius = np.sum(np.abs(diag), axis=0) - np.abs(diag[w])
     a, b = float(np.min(diag[w].real - radius)), float(np.max(diag[w].real + radius))
-    max_degree = min(CHEB_MAX_DEGREE, np.sqrt(max_multiplies / ((2 * w + 1) * L * max(w, 1))))
+    max_degree = min(CHEB_MAX_DEGREE,
+                     np.sqrt(2.0 * max_multiplies / ((2 * w + 1) * L * max(w, 1))))
     series = _chebyshev_series(a, b, max_degree)
     if series is None or _chebyshev_multiplies(len(series[0]) - 1, w, L) >= max_multiplies:
         return None
@@ -519,18 +526,21 @@ def _chebyshev_plan(lam_field: MultiplierField, max_multiplies: float):
 
 
 def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: float, b: float):
-    """(wrapped diagonals, offsets, S_vN) of Chat = expit(Khat), with
-    S_vN = tr h(Khat), from the Chebyshev series on [a, b] and Khat's
+    """(wrapped diagonals, offsets, S_vN, cut bound) of Chat = expit(Khat),
+    with S_vN = tr h(Khat), from the Chebyshev series on [a, b] and Khat's
     2 w + 1 wrapped diagonals `diag`.
 
     T_{m+1} = 2 Kt T_m - T_{m-1} with Kt = (2 Khat - a - b)/(b - a) is run on
     wrapped diagonals: row k of the product's diagonal i + o gets
     Kt[k, k+i] T_m[k+i, k+i+o], an elementwise product with a shifted
-    diagonal, and the band grows by w a step, with nothing dropped.  Offsets
-    are not reduced mod L: the band is that of the periodic lift of Khat to
-    the infinite chain, which folds back onto all L wrapped diagonals at the
-    end when it is wider than L, so that case needs nothing special.  The
-    band is then made exactly Hermitian (`_hermitian_band`)."""
+    diagonal, and the band grows by w a step, with nothing dropped.  Every
+    T_m is Hermitian, so only its offsets >= 0 are computed, and the w
+    below 0 that the next step reads are mirrored from them.  Offsets are
+    not reduced mod L: the band is that of the periodic lift of Khat to the
+    infinite chain, which folds back onto all L wrapped diagonals at the end
+    when it is wider than L, so that case needs nothing special.  The band
+    is then cut to the diagonals above round-off (`_band_cut`) and made
+    exactly Hermitian (`_hermitian_band`)."""
     L = lattice.L
     w = (diag.shape[0] - 1) // 2
     n = len(coef_f) - 1
@@ -575,20 +585,37 @@ def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: floa
         _wrap_halo(t_prev[:w], w)
         t_prev, t_cur = t_cur, t_prev
     del t_prev, t_cur
-    offsets = np.arange(-width, width + 1)
     if 2 * width + 1 > L:
         # the lifted band, mirrored whole, folds onto all L diagonals
         lifted = np.empty((2 * width + 1, L), dtype=complex)
         lifted[width:] = band
         for o in range(1, width + 1):
             lifted[width - o] = np.roll(band[o], o).conj()
-        full = _all_offsets(L)
         folded = np.zeros((L, L), dtype=complex)
-        np.add.at(folded, (offsets - full[0]) % L, lifted)
-        return _hermitian_band(folded, full), full, float(s_vn)
-    out = np.empty((2 * width + 1, L), dtype=complex)
-    out[width:] = band
-    return _hermitian_band(out, offsets), offsets, float(s_vn)
+        np.add.at(folded, (np.arange(-width, width + 1) + (L - 1) // 2) % L, lifted)
+        band = folded[(L - 1) // 2:]  # offsets 0 .. L // 2
+    keep, bound = _band_cut(band, L)
+    offsets = np.arange(-min(keep, (L - 1) // 2), keep + 1)
+    out = np.empty((offsets.size, L), dtype=complex)
+    out[-offsets[0]:] = band[: keep + 1]
+    return _hermitian_band(out, offsets), offsets, float(s_vn), bound
+
+
+def _band_cut(band: np.ndarray, L: int) -> tuple[int, float]:
+    """The widest offset to keep of a Hermitian band given by its diagonals
+    at offsets 0, 1, ... (row o), and the bound on ||dChat||_2 of dropping
+    the rest.  The outermost pairs +-o are dropped while the sum of their
+    largest |entry|, each of the two counted (an even L's Nyquist diagonal,
+    its own partner, once), stays <= CHEB_TOL: that sum bounds the largest
+    row sum of |dChat|, and so its 2-norm."""
+    keep, bound = band.shape[0] - 1, 0.0
+    while keep > 0:
+        step = (1.0 if 2 * keep == L else 2.0) * float(np.max(np.abs(band[keep])))
+        if bound + step > CHEB_TOL:
+            break
+        bound += step
+        keep -= 1
+    return keep, bound
 
 
 def _wrap_halo(rows: np.ndarray, w: int) -> None:
@@ -654,17 +681,22 @@ def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianStat
     at the smallest degree n whose dropped coefficients sum to less than
     CHEB_TOL: as |T_m| <= 1 on [a, b], that bounds the error of Chat in the
     2-norm and of S_vN per mode.  The recurrence (`_gibbs_chebyshev`) then
-    takes `_chebyshev_multiplies(n, w_K, L)`, about (2 w_K + 1) w_K n^2 L
+    takes `_chebyshev_multiplies(n, w_K, L)`, about (2 w_K + 1) w_K n^2 L / 2
     complex multiplies, against the dense `eigh` and Gram product's O(L^3); the
     build takes the recurrence when its count is below CHEB_CROSSOVER * L^3,
-    and `eigh` otherwise.
+    and `eigh` otherwise.  The recurrence's band is then cut: the diagonals
+    it drops move Chat by at most `cut_bound` <= CHEB_TOL in the 2-norm.
 
-    CHEB_CROSSOVER = 0.1 is the measured crossover, on one core: the two
-    builds take equal time at a count of 0.11 L^3 at L = 1024, 0.16 L^3 at
-    512 and about 0.2 L^3 at 256, over `lambda-cos` (w_K = 1), fields with
-    a second to eighth harmonic (w_K = 2 to 8) and `q-cos` profiles
-    (w_K = 11, 13).  So `lambda-cos` at L >= 512 takes the recurrence
-    (n = 48, 1.1 s -> 0.07 s at L = 1024) and `q-cos` takes `eigh`.
+    The two builds take equal time, on one core, at a count of 0.11 to
+    0.18 L^3 at L = 1024, 0.12 to 0.23 L^3 at 512 and 0.15 to 0.32 L^3 at
+    256, over `lambda-cos` (w_K = 1), fields with a second to eighth
+    harmonic (w_K = 2 to 8) and a `q-cos` profile (w_K = 11).
+    CHEB_CROSSOVER = 0.05 lies below all of them: it is the full-band
+    count's 0.1 in the half-band count, so every field and lattice takes the
+    build it took when each step computed the whole band.  So `lambda-cos`
+    at L >= 512 takes the recurrence (n = 48, 1.0 s -> 0.04 s at L = 1024)
+    and `q-cos` takes `eigh`; `lambda-cos` at L = 256 takes `eigh`, though
+    the recurrence would take 0.011 s against 0.025 s.
     """
     if lam_field.lattice.L != lattice.L:
         raise ValueError("multiplier field lives on a different lattice")
@@ -691,7 +723,8 @@ def evolve(state: GaussianState, t: float) -> GaussianState:
     phase = np.exp(-1j * t * state.lattice.dispersion)
     diagonals = state.diagonals * phase
     diagonals *= _shifted(phase.conj(), state.offsets)
-    return GaussianState._exact(state.lattice, diagonals, state.offsets, state.s_vn)
+    return GaussianState._exact(state.lattice, diagonals, state.offsets, state.s_vn,
+                                state.cut_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +795,8 @@ def boost(state: GaussianState, n_modes: int) -> GaussianState:
     cyclic shift Chat[k, q] -> Chat[k - n_modes, q - n_modes], a roll of
     each stored diagonal along k."""
     diagonals = np.roll(state.diagonals, n_modes, axis=1)
-    return GaussianState._exact(state.lattice, diagonals, state.offsets, state.s_vn)
+    return GaussianState._exact(state.lattice, diagonals, state.offsets, state.s_vn,
+                                state.cut_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +831,8 @@ class MomentumCutoff:
         t = self.transfer / self.operator_scale
         diagonals = state.diagonals * t
         diagonals *= _shifted(t, state.offsets)
-        return GaussianState._exact(state.lattice, diagonals, state.offsets)
+        return GaussianState._exact(state.lattice, diagonals, state.offsets,
+                                    cut_bound=state.cut_bound)
 
 
 def momentum_cutoff(lattice: Lattice, M: float) -> MomentumCutoff:
@@ -973,104 +1008,49 @@ def entropy_production(gamma: GaussianState, lam_field: MultiplierField, lam_rat
 
 
 # ---------------------------------------------------------------------------
-# cutoff / moment assumption checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Expectation-level checks of the high-momentum cutoff machinery."""
-
-    c: float
-    M: float
-    maxwell_moment: float
-    current_bound_constant: float
-    per_component: dict
-
-
-def maxwell_moment(state: GaussianState, c: float) -> float:
-    """Gaussian-weighted momentum moment (1/L) sum_p e^{c p^2} N_p; raises
-    MomentDiverges when the summand grows toward the zone edge (for Gibbs
-    data this is exactly the regime c >= min(lam4)/2)."""
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    p = state.lattice.momenta
-    occ = state.occupations()
-    summand = np.exp(c * p * p) * occ
-    absp = np.abs(p)
-    outer = summand[absp >= 0.8 * np.pi]
-    inner = summand[(absp >= 0.5 * np.pi) & (absp < 0.7 * np.pi)]
-    if outer.size and inner.size and outer.mean() > max(inner.mean(), 1e-300):
-        raise MomentDiverges(
-            f"e^(c p^2) N_p grows toward the zone edge at c = {c}"
-        )
-    return float(summand.mean())
-
-
-def assumption_checks(
-    state: GaussianState,
-    c: float,
-    M: float,
-    lam_field: MultiplierField | None = None,
-) -> AssumptionReport:
-    """Maxwellian moment plus the expectation-level current bound
-    |sum_x w_M| <= const * M * (sum h + sum n); reports the smallest
-    admissible constant."""
-    if lam_field is not None and c >= 0.5 * float(np.min(lam_field.lam4)):
-        raise MomentDiverges(
-            f"c = {c} at or above min(lam4)/2 = {0.5 * float(np.min(lam_field.lam4))}"
-        )
-    moment = maxwell_moment(state, c)
-    cut = momentum_cutoff(state.lattice, M)
-    w_m = currents(state, cutoff=cut)
-    dens = densities(state)
-    n_tot, _, h_tot = dens.totals()
-    denom = M * max(h_tot + n_tot, 1e-300)
-    per = {
-        "w0": abs(float(w_m.w0.sum())) / denom,
-        "w1": abs(float(w_m.w1.sum())) / denom,
-        "w4": abs(float(w_m.w4.sum())) / denom,
-    }
-    return AssumptionReport(
-        c=c,
-        M=M,
-        maxwell_moment=moment,
-        current_bound_constant=max(per.values()),
-        per_component=per,
-    )
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
 _SNAPSHOT_MAGIC = b"FEGSNAP1"
 _CONVENTION = b"C(x,y)=<a+_y a_x>; p in (-pi,pi]"
+_BAND_MAGIC = b"FEGSNAP2"
+_BAND_CONVENTION = b"D[o,k]=Chat[k,(k+o)%L]; Chat=W C W+, W[k,x]=e^(-2pi i k x/L)/sqrt(L); " + _CONVENTION
+_BAND_HEAD = struct.Struct("<Qdd")  # diagonal count, s_vn (NaN when unknown), cut bound
 
 
 def save_state(state: GaussianState, path, t: float = 0.0) -> None:
-    """Binary snapshot: magic, L, time, convention tag, packed upper triangle."""
-    iu = np.triu_indices(state.L)
-    packed = np.ascontiguousarray(state.C[iu], dtype=np.complex128)
+    """Binary snapshot FEGSNAP2, little-endian: magic, L (u64), time (f64),
+    convention tag (u16 length, bytes), then the stored band: its diagonal
+    count (u64), `s_vn` (f64, NaN when unknown) and `cut_bound` (f64), the
+    offsets (i64 each) and their wrapped diagonals row by row (complex128).
+    A band of d diagonals takes 16 d L bytes, not the L(L+1)/2 dense
+    entries of FEGSNAP1."""
+    s_vn = np.nan if state.s_vn is None else state.s_vn
     with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
+        fh.write(_BAND_MAGIC)
         fh.write(struct.pack("<Qd", state.L, t))
-        fh.write(struct.pack("<H", len(_CONVENTION)))
-        fh.write(_CONVENTION)
-        packed.tofile(fh)
+        fh.write(struct.pack("<H", len(_BAND_CONVENTION)))
+        fh.write(_BAND_CONVENTION)
+        fh.write(_BAND_HEAD.pack(state.offsets.size, s_vn, state.cut_bound))
+        np.ascontiguousarray(state.offsets, dtype="<i8").tofile(fh)
+        np.ascontiguousarray(state.diagonals, dtype="<c16").tofile(fh)
 
 
 def load_state(path) -> tuple[GaussianState, float]:
+    """(state, time) of a FEGSNAP2 snapshot, or of a FEGSNAP1 one (the
+    packed upper triangle of position-space C, rebuilt by `from_position`)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_SNAPSHOT_MAGIC))
-        if magic != _SNAPSHOT_MAGIC:
+        if magic not in (_SNAPSHOT_MAGIC, _BAND_MAGIC):
             raise ValueError(f"{path}: not a state snapshot")
         L, t = struct.unpack("<Qd", fh.read(16))
         (taglen,) = struct.unpack("<H", fh.read(2))
         tag = fh.read(taglen)
-        if tag != _CONVENTION:
+        if tag != (_CONVENTION if magic == _SNAPSHOT_MAGIC else _BAND_CONVENTION):
             raise ValueError(f"{path}: unknown convention tag {tag!r}")
         body = fh.read()
+    if magic == _BAND_MAGIC:
+        return _band_state(path, Lattice(int(L)), body), float(t)
     count = L * (L + 1) // 2
     if len(body) != 16 * count:
         raise ValueError(
@@ -1082,6 +1062,32 @@ def load_state(path) -> tuple[GaussianState, float]:
     c[iu] = packed
     c = c + np.triu(c, 1).conj().T
     return GaussianState.from_position(Lattice(int(L)), c), float(t)
+
+
+def _band_state(path, lattice: Lattice, body: bytes) -> GaussianState:
+    """The state of a FEGSNAP2 body, checked as the public constructor
+    checks a dense Chat: offsets as `GaussianState` holds them, finite and
+    Hermitian diagonals."""
+    L = lattice.L
+    head = _BAND_HEAD.size
+    count, s_vn, cut_bound = _BAND_HEAD.unpack_from(body) if len(body) >= head else (0, 0.0, 0.0)
+    size = head + count * (8 + 16 * L)
+    if count == 0 or len(body) != size:
+        raise ValueError(f"{path}: a band of {count} diagonals for L = {L} takes {size} bytes, "
+                         f"found {len(body)}")
+    offsets = np.frombuffer(body, "<i8", count, head).astype(int)
+    diagonals = np.frombuffer(body, "<c16", count * L, head + 8 * count)
+    diagonals = diagonals.reshape(count, L).astype(complex)
+    c = int(offsets[-1])
+    symmetric = 2 * c < L and np.array_equal(offsets, np.arange(-c, c + 1))
+    if not (symmetric or np.array_equal(offsets, _all_offsets(L))):
+        raise ValueError(f"{path}: offsets {offsets[0]} .. {offsets[-1]} are not a stored band")
+    _require_finite(diagonals, "diagonals")
+    herm_gap = np.max(np.abs(diagonals - _hermitian_band(diagonals.copy(), offsets)))
+    if herm_gap > HERM_TOL:
+        raise ValueError(f"correlation matrix not Hermitian ({herm_gap:.2e})")
+    return GaussianState._exact(lattice, diagonals, offsets,
+                                None if np.isnan(s_vn) else float(s_vn), float(cut_bound))
 
 
 def fields_to_csv(path, lattice: Lattice, dens: DensityFields, cur: CurrentTensor) -> None:

@@ -14,7 +14,6 @@ from fermi_euler.harness.config import DEFAULT_PROFILE
 from fermi_euler.errors import (
     BadWindow,
     CutoffTooLarge,
-    MomentDiverges,
     NonFinite,
     NonpositiveBeta,
 )
@@ -23,7 +22,6 @@ from fermi_euler.micro import (
     GaussianState,
     Lattice,
     MultiplierField,
-    assumption_checks,
     boost,
     coarse_grain,
     currents,
@@ -36,7 +34,6 @@ from fermi_euler.micro import (
     gibbs_exponent,
     gibbs_gaussian,
     load_state,
-    maxwell_moment,
     momentum_cutoff,
     rel_entropy_gaussian,
     save_state,
@@ -275,6 +272,43 @@ class TestChebyshevGibbs:
         assert np.max(np.abs(st.chat - chat)) <= 1e-12
         assert st.s_vn == pytest.approx(s_vn, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("L", [63, 64, 65, 256])
+    @pytest.mark.parametrize("make", [lambda_cos_field, smooth_field], ids=["lambda-cos", "smooth"])
+    def test_cut_band_matches_dense_eigh(self, L, make, monkeypatch):
+        # the cut band: contiguous offsets around 0, and a bound <= CHEB_TOL
+        # on its 2-norm distance to the band the recurrence built
+        lf = make(Lattice(L))
+        st = gibbs_chebyshev(lf)
+        c = st.offsets[-1]
+        assert np.array_equal(st.offsets, np.arange(-c, c + 1))
+        assert 2 * c + 1 < L
+        assert 0.0 < st.cut_bound <= micro.CHEB_TOL
+        with monkeypatch.context() as m:
+            m.setattr(micro, "_band_cut", lambda band, L: (band.shape[0] - 1, 0.0))
+            uncut = gibbs_chebyshev(lf)
+        assert uncut.diagonals.shape[0] > st.diagonals.shape[0]
+        assert np.linalg.norm(st.chat - uncut.chat, 2) <= st.cut_bound
+        assert st.s_vn == uncut.s_vn
+        # against the dense build, within the dense build's own round-off
+        # (eigh and the Gram product leave 2.2e-14 in Chat at L = 256)
+        chat, s_vn = dense_gibbs(lf)
+        assert np.max(np.abs(st.chat - chat)) <= 5e-14
+        assert np.max(np.abs(st.chat - chat)) <= np.max(np.abs(uncut.chat - chat)) + 1e-14
+        assert st.s_vn == pytest.approx(s_vn, rel=1e-13, abs=0.0)
+
+    def test_band_cut_drops_outer_pairs_within_the_tolerance(self):
+        # row o holds offset o; largest entries 1, 1e-3, 4e-15, 1e-15, 5e-16
+        # (the last an even L's Nyquist diagonal, counted once): 5e-16 + 2e-15
+        # fits in CHEB_TOL, 8e-15 more does not
+        L = 8
+        band = np.zeros((5, L), dtype=complex)
+        for o, top in enumerate([1.0, 1e-3, 4e-15, 1e-15, 5e-16]):
+            band[o, o] = top * (0.6 + 0.8j)
+        assert micro._band_cut(band, L) == (2, pytest.approx(2.5e-15, rel=1e-12))
+        assert micro._band_cut(band, 10) == (2, pytest.approx(3e-15, rel=1e-12))
+        assert micro._band_cut(band[:2], L) == (1, 0.0)
+        assert micro._band_cut(np.zeros((3, L), dtype=complex), L) == (0, 0.0)
+
     def test_lambda_cos_is_tridiagonal_and_takes_the_recurrence(self):
         lat = Lattice(512)
         lf = lambda_cos_field(lat)
@@ -367,11 +401,13 @@ class TestBandedState:
     @staticmethod
     def gibbs(L, kind):
         """The state and its field: a band narrower than L, or one folded
-        onto all L diagonals."""
+        onto all L diagonals, each then cut."""
         lat = Lattice(L)
         lf = hot_field(lat) if kind == "band" else lambda_cos_field(lat)
+        diag, coef_f = micro._chebyshev_plan(lf, np.inf)[:2]
+        assert ((diag.shape[0] - 1) * (len(coef_f) - 1) + 1 > L) == (kind == "folded")
         st = gibbs_chebyshev(lf)
-        assert (st.diagonals.shape[0] < L) == (kind == "band")
+        assert st.diagonals.shape[0] < L
         return st, lf
 
     @pytest.mark.parametrize("L", [63, 64, 65])
@@ -425,7 +461,9 @@ class TestBandedState:
         diag, coef_f = micro._chebyshev_plan(lf, np.inf)[:2]
         assert (diag.shape[0] - 1) * (len(coef_f) - 1) + 1 > 64  # 2 n w + 1
         st = gibbs_chebyshev(lf)
-        assert np.array_equal(st.offsets, np.arange(-31, 33))
+        # folded onto offsets -31 .. 32, then cut to those above round-off
+        assert np.array_equal(st.offsets, np.arange(-10, 11))
+        assert 0.0 < st.cut_bound <= micro.CHEB_TOL
         chat, s_vn = dense_gibbs(lf)
         assert np.max(np.abs(st.chat - chat)) <= 1e-12
         assert np.array_equal(st.chat, st.chat.conj().T)
@@ -458,8 +496,9 @@ class TestBandedState:
 
     def test_lambda_cos_at_4096_stays_far_below_one_dense_matrix(self):
         # one dense L x L complex Chat at L = 4096 is 256 MiB; the banded
-        # build, evolution, fields, rates and currents peak at 36 MiB, the
-        # recurrence's band of 97 diagonals and its three Chebyshev terms
+        # build, evolution, fields, rates and currents peak at about 10 MiB:
+        # the recurrence's half band of 49 diagonals and its two Chebyshev
+        # terms, then a state cut to 25 diagonals
         lat = Lattice(4096)
         lf = lambda_cos_field(lat)
         tracemalloc.start()
@@ -469,8 +508,8 @@ class TestBandedState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert st.diagonals.shape == (97, 4096)
-        assert peak < 64 * 2**20
+        assert st.diagonals.shape == (25, 4096)
+        assert peak < 24 * 2**20
 
 
 class TestEvolve:
@@ -932,38 +971,21 @@ class TestEntropyProduction:
         assert abs(pairing - trace) <= 1e-13 * abs(trace)
 
 
-class TestAssumptionChecks:
-    def test_moment_finite_and_time_invariant(self):
-        lat = Lattice(256)
-        st = gibbs_gaussian(lat, MultiplierField.constant(lat, 2.0, 0.0, 0.1))
-        m0 = maxwell_moment(st, 0.5)
-        m3 = maxwell_moment(evolve(st, 3.0), 0.5)
-        assert np.isfinite(m0)
-        assert abs(m0 - m3) < 1e-10
+def fegsnap1_bytes(st, t):
+    """FEGSNAP1 by hand: magic, <Q L, <d t, <H tag length, tag, then the upper
+    triangle of position-space C row by row as little-endian complex128."""
+    c, L = st.C, st.L
+    tag = b"C(x,y)=<a+_y a_x>; p in (-pi,pi]"
+    body = b"".join(struct.pack("<dd", c[x, y].real, c[x, y].imag)
+                    for x in range(L) for y in range(x, L))
+    return b"FEGSNAP1" + struct.pack("<Qd", L, t) + struct.pack("<H", len(tag)) + tag + body
 
-    def test_moment_diverges_above_half_beta(self):
-        lat = Lattice(256)
-        beta = 2.0
-        st = gibbs_gaussian(lat, MultiplierField.constant(lat, beta, 0.0, 0.1))
-        with pytest.raises(MomentDiverges):
-            maxwell_moment(st, beta / 2 + 0.1)
 
-    def test_precondition_from_field(self):
-        lat = Lattice(128)
-        lf = MultiplierField.constant(lat, 2.0, 0.0, 0.1)
-        st = gibbs_gaussian(lat, lf)
-        with pytest.raises(MomentDiverges):
-            assumption_checks(st, c=1.1, M=2.0, lam_field=lf)
-
-    def test_current_bound_constant(self):
-        # one global constant across sampled local-Gibbs states
-        lat = Lattice(512)
-        consts = []
-        for seed in range(10):
-            st = gibbs_gaussian(lat, smooth_field(lat, seed=seed, beta0=2.5))
-            rep = assumption_checks(st, c=0.5, M=2.0)
-            consts.append(rep.current_bound_constant)
-        assert max(consts) < 10.0  # comfortably finite, reported not asserted tight
+def assert_same_state(back, st):
+    assert np.array_equal(back.offsets, st.offsets)
+    assert np.array_equal(back.diagonals, st.diagonals)
+    assert back.s_vn == st.s_vn
+    assert back.cut_bound == st.cut_bound
 
 
 class TestSerialization:
@@ -974,6 +996,7 @@ class TestSerialization:
         save_state(st, path, t=1.25)
         back, t = load_state(path)
         assert t == 1.25
+        assert_same_state(back, st)
         assert np.max(np.abs(back.C - st.C)) < 1e-15
 
     def test_fields_csv(self, tmp_path):
@@ -986,48 +1009,89 @@ class TestSerialization:
         assert len(lines) == 33
 
     def test_hand_packed_snapshot_loads(self, tmp_path):
-        # FEGSNAP1: magic, <Q L, <d t, <H tag length, tag, then the upper
-        # triangle of position-space C row by row as little-endian complex128
         lat = Lattice(12)
         st = gibbs_gaussian(lat, smooth_field(lat, seed=6))
-        c = st.C
-        tag = b"C(x,y)=<a+_y a_x>; p in (-pi,pi]"
-        body = b"".join(
-            struct.pack("<dd", c[x, y].real, c[x, y].imag)
-            for x in range(12) for y in range(x, 12)
-        )
         path = tmp_path / "old.bin"
-        path.write_bytes(
-            b"FEGSNAP1" + struct.pack("<Qd", 12, 3.5) + struct.pack("<H", len(tag)) + tag + body
-        )
+        path.write_bytes(fegsnap1_bytes(st, 3.5))
         back, t = load_state(path)
         assert t == 3.5
         assert back.L == 12
         assert np.max(np.abs(back.chat - st.chat)) < 1e-15
-        assert np.max(np.abs(back.C - c)) < 1e-15
+        assert np.max(np.abs(back.C - st.C)) < 1e-15
 
     def test_banded_state_roundtrip(self, tmp_path):
-        # a band of 97 of 128 diagonals written as the dense C of FEGSNAP1
+        # FEGSNAP2 holds the 21 diagonals the cut keeps of 128, bit for bit,
+        # with the entropy and the cut's bound
         lat = Lattice(128)
-        st = gibbs_chebyshev(lambda_cos_field(lat))
-        assert st.diagonals.shape == (97, 128)
+        st = evolve(gibbs_chebyshev(lambda_cos_field(lat)), 0.3 * 128)
+        assert st.diagonals.shape == (21, 128)
+        assert st.cut_bound > 0.0
         path = tmp_path / "band.bin"
         save_state(st, path, t=2.0)
+        assert path.stat().st_size < 16 * 22 * 128 + 256
         back, t = load_state(path)
         assert t == 2.0
-        assert back.diagonals.shape == (128, 128)
-        assert np.max(np.abs(back.C - st.C)) < 1e-15
-        assert np.max(np.abs(back.chat - st.chat)) < 1e-15
+        assert_same_state(back, st)
+
+    def test_folded_state_roundtrip(self, tmp_path):
+        # an even L's folded band keeps every diagonal, the Nyquist one once
+        lat = Lattice(8)
+        st = gibbs_chebyshev(lambda_cos_field(lat))
+        assert np.array_equal(st.offsets, np.arange(-3, 5))
+        path = tmp_path / "folded.bin"
+        save_state(st, path, t=0.5)
+        back, t = load_state(path)
+        assert t == 0.5
+        assert_same_state(back, st)
+
+    def test_unknown_entropy_roundtrip(self, tmp_path):
+        lat = Lattice(16)
+        st = micro.momentum_cutoff(lat, 1.0).smear(gibbs_chebyshev(lambda_cos_field(lat)))
+        assert st.s_vn is None
+        path = tmp_path / "smeared.bin"
+        save_state(st, path)
+        back, _ = load_state(path)
+        assert back.s_vn is None
+        assert np.array_equal(back.diagonals, st.diagonals)
 
     @pytest.mark.parametrize("change,found", [(-16, "found 527"), (8, "found 528.5")])
     def test_wrong_length_snapshot_rejected(self, tmp_path, change, found):
-        # L = 32 packs 528 entries: a truncated file and one with trailing
-        # bytes both name the path and the two counts
+        # FEGSNAP1 at L = 32 packs 528 entries: a truncated file and one with
+        # trailing bytes both name the path and the two counts
         lat = Lattice(32)
         path = tmp_path / "state.bin"
-        save_state(gibbs_gaussian(lat, smooth_field(lat, seed=4)), path)
-        data = path.read_bytes()
+        data = fegsnap1_bytes(gibbs_gaussian(lat, smooth_field(lat, seed=4)), 0.0)
         path.write_bytes(data[:change] if change < 0 else data + bytes(change))
         with pytest.raises(ValueError, match=f"state.bin: expected 528 packed entries for "
                                              f"L = 32, {found}"):
+            load_state(path)
+
+    @pytest.mark.parametrize("change", [-16, 8, -(16 * 21 * 64 + 8 * 21 + 20)])
+    def test_wrong_length_band_rejected(self, tmp_path, change):
+        lat = Lattice(64)
+        path = tmp_path / "band.bin"
+        save_state(gibbs_chebyshev(lambda_cos_field(lat)), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        with pytest.raises(ValueError, match="band.bin: a band of .* diagonals for L = 64 takes"):
+            load_state(path)
+
+    def test_malformed_band_rejected(self, tmp_path):
+        lat = Lattice(64)
+        st = gibbs_chebyshev(lambda_cos_field(lat))
+        path = tmp_path / "band.bin"
+        save_state(st, path)
+        data = bytearray(path.read_bytes())
+        start = len(data) - 16 * st.diagonals.size
+        # offsets no longer symmetric about 0
+        bad = bytearray(data)
+        bad[start - 8 * st.offsets.size: start] = (st.offsets + 1).astype("<i8").tobytes()
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match="are not a stored band"):
+            load_state(path)
+        # a diagonal not the conjugate of its partner
+        bad = bytearray(data)
+        bad[start: start + 8] = struct.pack("<d", 1.0)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match="not Hermitian"):
             load_state(path)
