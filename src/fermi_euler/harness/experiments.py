@@ -17,11 +17,12 @@ is exact: the fields of the generator -i (eps_k - eps_q) Chat.
 
 entropy-track follows s(gamma_t | omega^eps_t)/L with omega the local Gibbs
 state of the Euler trajectory's multiplier field at each snapshot T > 0
-(evaluated in closed form from its exponent), and omega0 itself at T = 0,
-and its production rate d/dt S from the conservation laws (the multipliers
-paired with the exact density rates, their rate with the gap to the
-reference's densities): the multipliers' rate comes from the Euler scheme's
-own right side through Hess psi, and a centred difference of S in time
+(built once, for S in closed form and for the production), and omega0
+itself at T = 0, and its production rate d/dt S from the conservation laws
+(the multipliers paired with the exact density rates, their rate with the
+gap to the reference's densities): the multipliers' rate comes from the
+Euler scheme's own right side through Hess psi, and a centred difference
+of S in time, across two Euler steps of h from the snapshot at T - h,
 cross-checks it.
 """
 
@@ -268,19 +269,27 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
         config.profile["kind"], config.profile["params"], grid, model
     )
 
-    # one forward run that stops at each time and at the centred difference's
-    # neighbours, whose step shrinks to T itself for T < FD_STEP
+    # one forward run that stops at each time T and at T - h, the centred
+    # difference's near end, h = FD_STEP shrunk to T itself for T < FD_STEP;
+    # its far end T + h is two steps of h from the T - h stop
     steps = {t: min(FD_STEP, t) for t in times if t > 0.0}
-    stops = sorted(set(times) | {t + s * h for t, h in steps.items() for s in (1.0, -1.0)})
-    traj = euler.run(q0, stops[-1], grid, closure, cfl=config.cfl, snapshot_times=stops)
-    # each snapshot's cell multipliers, inverted once for every L, and their
-    # rate at the report times
-    cells = {t: np.stack(euler.lambda_field_of(traj.at(t), model), axis=-1) for t in stops}
-    rates = {
-        t: multiplier_rate(
-            euler.EulerSolution(grid, traj.at(t), t, closure, config.cfl), cells[t]
-        )
-        for t in times
+    stops = sorted(set(times) | {t - h for t, h in steps.items()})
+    traj = euler.run(q0, times[-1], grid, closure, cfl=config.cfl, snapshot_times=stops)
+
+    def solution(t: float) -> euler.EulerSolution:
+        return euler.EulerSolution(grid, traj.at(t), t, closure, config.cfl)
+
+    def multipliers(q: euler.ConservedField) -> np.ndarray:
+        return np.stack(euler.lambda_field_of(q, model), axis=-1)
+
+    # each snapshot's cell multipliers, inverted once for every L, their rate
+    # at the report times, and those at both ends of each difference
+    cells = {t: multipliers(traj.at(t)) for t in times}
+    rates = {t: multiplier_rate(solution(t), cells[t]) for t in times}
+    ends = {
+        t: (multipliers(traj.at(t - h)),
+            multipliers(euler.step(euler.step(solution(t - h), h), h).q))
+        for t, h in steps.items()
     }
 
     rows = []
@@ -292,12 +301,11 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
         def sites(cell_values: np.ndarray) -> list:
             return [trig_interp(v, L, off) for v in cell_values.T]
 
-        def entropy_at(t_macro: float) -> float:
+        def entropy_at(t_macro: float, cell_lam: np.ndarray) -> float:
             if t_macro == 0.0:
                 return 0.0  # gamma_0 = omega_0 by construction
             gamma = micro.evolve(omega0, t_macro / lat.epsilon)
-            reference = MultiplierField(lat, *sites(cells[t_macro]))
-            return micro.rel_entropy_gaussian(gamma, reference)[0]
+            return micro.rel_entropy_gaussian(gamma, MultiplierField(lat, *sites(cell_lam)))[0]
 
         for t_macro in times:
             t_micro = t_macro / lat.epsilon
@@ -306,21 +314,26 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
             if t_macro == 0.0:
                 # the reference at T = 0 is gamma_0 = omega0 itself, the local
                 # Gibbs state of the profile's field
-                gamma, field, reference = omega0, MultiplierField(lat, *lam), omega0
+                gamma = omega0
+                s_tot, s_site = micro.rel_entropy_gaussian(gamma, omega0)
+                production = micro.entropy_production(gamma, MultiplierField(lat, *lam),
+                                                      lam_rate)
+                production_fd = float("nan")
             else:
                 # the reference at T > 0 is the local Gibbs state of the Euler
-                # multipliers at T, evaluated in closed form from its exponent
+                # multipliers at T, built once for S (log Z from its entropy
+                # and densities) and for the production
                 gamma = micro.evolve(omega0, t_micro)
-                field = reference = MultiplierField(lat, *sites(cells[t_macro]))
-            s_tot, s_site = micro.rel_entropy_gaussian(gamma, reference)
-            production = micro.entropy_production(gamma, field, lam_rate)
-            if t_macro > 0.0:
+                field = MultiplierField(lat, *sites(cells[t_macro]))
+                omega = micro.gibbs_gaussian(lat, field)
+                s_tot, s_site = micro.rel_entropy_gaussian(gamma, field, reference=omega)
+                production = micro.entropy_production(gamma, field, lam_rate, reference=omega)
+                del omega  # all L diagonals here: not held through the next decompositions
                 h = steps[t_macro]
-                s_up = entropy_at(t_macro + h)
-                s_dn = entropy_at(t_macro - h)
+                near, far = ends[t_macro]
+                s_up = entropy_at(t_macro + h, far)
+                s_dn = entropy_at(t_macro - h, near)
                 production_fd = (s_up - s_dn) / (2.0 * h) * lat.epsilon
-            else:
-                production_fd = float("nan")
             rows.append((L, t_macro, t_micro, s_tot, s_site, production, production_fd))
 
     _write_csv(

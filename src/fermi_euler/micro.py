@@ -923,21 +923,25 @@ def coarse_grain(fields, ell: int, lattice: Lattice):
 
 
 def rel_entropy_gaussian(
-    gamma: GaussianState, omega: GaussianState | MultiplierField
+    gamma: GaussianState, omega: GaussianState | MultiplierField,
+    reference: GaussianState | None = None,
 ) -> tuple[float, float]:
     """Relative entropy S(gamma | omega) between quasi-free states, returned
     as (total, per-site density).
 
     When omega is a MultiplierField, the reference is its local Gibbs state
-    exp(a+ K a)/Z, evaluated in closed form without building it:
+    exp(a+ K a)/Z, evaluated in closed form:
 
-        S = -S_vN(gamma) - tr(Chat_gamma Khat) + sum_j log(1 + e^{kappa_j}),
+        S = -S_vN(gamma) - tr(Chat_gamma Khat) + log Z,
 
-    with kappa the spectrum of Khat, S_vN(gamma) from `vn_entropy` (exact
-    for an evolved Gibbs state) and tr(Chat_gamma Khat) the signed pairing
-    sum_x (lam0 n + lam1 p - lam4 h) of omega's multipliers with gamma's
-    `densities` (Khat is linear in the fields).  When omega is a state,
-    both spectra are used:
+    with S_vN(gamma) from `vn_entropy` (exact for an evolved Gibbs state)
+    and tr(Chat_gamma Khat) the signed pairing sum_x (lam0 n + lam1 p -
+    lam4 h) of omega's multipliers with gamma's `densities` (Khat is linear
+    in the fields).  log Z = sum_j log(1 + e^{kappa_j}) over the spectrum
+    kappa of Khat, without building the reference; or, when the caller has
+    built it (`reference`, the `gibbs_gaussian` of omega), log Z =
+    S_vN(reference) + tr(Chat_reference Khat), with no decomposition.  When
+    omega is a state, both spectra are used:
 
         S = tr[Cg (log Cg - log Cw)] + tr[(1-Cg)(log(1-Cg) - log(1-Cw))],
 
@@ -947,10 +951,14 @@ def rel_entropy_gaussian(
     if gamma.L != omega.lattice.L:
         raise ValueError("states live on different lattices")
     if isinstance(omega, MultiplierField):
-        cross = _pairing((omega.lam0, omega.lam1, omega.lam4), densities(gamma).stack())
-        kappa = eigh(gibbs_exponent(omega), eigvals_only=True, overwrite_a=True,
-                     check_finite=False)
-        total = float(np.sum(np.logaddexp(0.0, kappa))) - cross - gamma.vn_entropy()
+        lam = (omega.lam0, omega.lam1, omega.lam4)
+        if reference is None:
+            kappa = eigh(gibbs_exponent(omega), eigvals_only=True, overwrite_a=True,
+                         check_finite=False)
+            log_z = float(np.sum(np.logaddexp(0.0, kappa)))
+        else:
+            log_z = reference.vn_entropy() + _pairing(lam, densities(reference).stack())
+        total = log_z - _pairing(lam, densities(gamma).stack()) - gamma.vn_entropy()
         return total, total / gamma.L
     if gamma is omega or gamma.diagonals is omega.diagonals:
         return 0.0, 0.0
@@ -982,7 +990,8 @@ def _pairing(lam, dens) -> float:
     return float(np.sum(lam0 * n + lam1 * p - lam4 * h))
 
 
-def entropy_production(gamma: GaussianState, lam_field: MultiplierField, lam_rate) -> float:
+def entropy_production(gamma: GaussianState, lam_field: MultiplierField, lam_rate,
+                       reference: GaussianState | None = None) -> float:
     """d/dt S(gamma_t | omega_t) for omega_t the local Gibbs state of a
     moving multiplier field, at the instant where lam_field is that field
     and lam_rate = (dlam0/dt, dlam1/dt, dlam4/dt) its per-site rate in micro
@@ -994,14 +1003,15 @@ def entropy_production(gamma: GaussianState, lam_field: MultiplierField, lam_rat
         dS/dt = -sum_x lam . d<q>_gamma/dt - sum_x dlam/dt . (<q>_gamma - <q>_omega),
 
     with d<q>_gamma/dt the exact `densities_rate` and omega the
-    `gibbs_gaussian` of lam_field.
+    `gibbs_gaussian` of lam_field, built here unless the caller has built
+    it (`reference`).
     """
     lat = gamma.lattice
     rate = np.asarray(lam_rate, dtype=float)
     if rate.shape != (3, lat.L):
         raise ValueError(f"lam_rate of shape {rate.shape}: need three arrays of {lat.L} sites")
     _require_finite(rate, "lam_rate")
-    omega = gibbs_gaussian(lat, lam_field)
+    omega = gibbs_gaussian(lat, lam_field) if reference is None else reference
     lam = (lam_field.lam0, lam_field.lam1, lam_field.lam4)
     gap = densities(gamma).stack() - densities(omega).stack()
     return -_pairing(lam, densities_rate(gamma).stack()) - _pairing(rate, gap)

@@ -848,6 +848,25 @@ class TestRelEntropy:
         # its own reference gives zero up to round-off
         assert abs(rel_entropy_gaussian(g0, smooth_field(lat, seed=3))[0]) < 1e-12
 
+    @pytest.mark.parametrize("L", [96, 512])
+    def test_built_reference_gives_log_z(self, L):
+        # log Z = S_vN(omega) + sum_x lam . <q>_omega from the built reference
+        # against the spectrum of Khat: at 96 sites the dense build, at 512
+        # the recurrence's cut band
+        lat = Lattice(L)
+        gamma = evolve(gibbs_gaussian(lat, smooth_field(lat, seed=3)), 0.05 * L)
+        lf = lambda_cos_field(lat) if L == 512 else smooth_field(lat, seed=30)
+        omega = gibbs_gaussian(lat, lf)
+        assert (omega.diagonals.shape[0] < L) == (L == 512)
+        closed, per_site = rel_entropy_gaussian(gamma, lf)
+        built = rel_entropy_gaussian(gamma, lf, reference=omega)
+        assert closed > 1e-3
+        assert built[0] == pytest.approx(closed, abs=1e-12 * L)
+        assert built[1] * L == pytest.approx(built[0], rel=1e-15)
+        rate = np.full((3, L), 1e-3)
+        assert entropy_production(gamma, lf, rate, reference=omega) == \
+            entropy_production(gamma, lf, rate)
+
     def test_gibbs_reference_matches_fock_oracle(self, rng):
         lat = Lattice(4)
         for _ in range(3):
