@@ -35,7 +35,7 @@ of Khat where that is cheaper.  A state holds Chat as its wrapped diagonals
 D[o, k] = Chat[k, (k + o) mod L]: for the recurrence, its band of
 2 n w_K + 1 (folded onto all L when wider) cut to the offsets whose entries
 are above round-off, the dropped ones bounded in the 2-norm by CHEB_TOL
-(about 23-41 of them for the smooth fields here, whatever L); all L for
+(about 20 to 45 of them for the smooth fields here, whatever L); all L for
 any other state.  Dense Chat is derived on demand.  Time
 evolution is the exact conjugation by exp(-i t h1), h1 = -Laplacian/2, the
 phase e^{-i t (eps_k - eps_{k+o})} on each diagonal (sign pinned by the
