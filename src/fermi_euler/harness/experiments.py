@@ -282,13 +282,24 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
     def multipliers(q: euler.ConservedField) -> np.ndarray:
         return np.stack(euler.lambda_field_of(q, model), axis=-1)
 
+    def far_end(t: float, h: float) -> euler.ConservedField:
+        """The state at t + h: two steps of h from the stop at t - h, each cut
+        into equal steps of at most half the CFL step (one on a coarse grid),
+        so that the speeds' change across them cannot break the bound."""
+        sol = solution(t - h)
+        for _ in range(2):
+            parts = int(np.ceil(2.0 * h * max(sol.wave_speeds.max(), 1e-300)
+                                / (config.cfl * grid.dx)))
+            for _ in range(parts):
+                sol = euler.step(sol, h / parts)
+        return sol.q
+
     # each snapshot's cell multipliers, inverted once for every L, their rate
     # at the report times, and those at both ends of each difference
     cells = {t: multipliers(traj.at(t)) for t in times}
     rates = {t: multiplier_rate(solution(t), cells[t]) for t in times}
     ends = {
-        t: (multipliers(traj.at(t - h)),
-            multipliers(euler.step(euler.step(solution(t - h), h), h).q))
+        t: (multipliers(traj.at(t - h)), multipliers(far_end(t, h)))
         for t, h in steps.items()
     }
 
@@ -328,7 +339,7 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
                 omega = micro.gibbs_gaussian(lat, field)
                 s_tot, s_site = micro.rel_entropy_gaussian(gamma, field, reference=omega)
                 production = micro.entropy_production(gamma, field, lam_rate, reference=omega)
-                del omega  # all L diagonals here: not held through the next decompositions
+                del omega  # dense for these fields: not held through the next decompositions
                 h = steps[t_macro]
                 near, far = ends[t_macro]
                 s_up = entropy_at(t_macro + h, far)

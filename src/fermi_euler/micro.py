@@ -584,7 +584,7 @@ def _gibbs_chebyshev(lattice: Lattice, diag: np.ndarray, coef_f, coef_h, a: floa
             np.conjugate(t_prev[w + o, w - o: w - o + L], out=t_prev[w - o, w: w + L])
         _wrap_halo(t_prev[:w], w)
         t_prev, t_cur = t_cur, t_prev
-    del t_prev, t_cur
+    del t_prev, t_cur  # before the output band is allocated
     if 2 * width + 1 > L:
         # the lifted band, mirrored whole, folds onto all L diagonals
         lifted = np.empty((2 * width + 1, L), dtype=complex)

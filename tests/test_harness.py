@@ -212,6 +212,27 @@ class TestExperiments:
         row = experiments.run_entropy_track(cfg).rows[1]
         assert row[6] == pytest.approx(row[5], rel=1e-3)
 
+    def test_entropy_track_difference_steps_within_the_cfl_bound(self, tmp_path, monkeypatch):
+        # on 2048 cells the CFL step is below the difference's h = 2e-4, so
+        # each of the two steps of h is cut into equal steps within it
+        from fermi_euler import euler
+
+        dts = []
+        step = euler.step
+
+        def recorded(sol, dt):
+            dts.append(dt)
+            return step(sol, dt)
+
+        monkeypatch.setattr(euler, "step", recorded)
+        cfg = small_config("entropy-track", tmp_path / "e", l_list=[64], n_cells=2048,
+                           times=[0.0, 0.001])
+        row = experiments.run_entropy_track(cfg).rows[1]
+        parts = round(2e-4 / dts[-1])
+        assert parts > 1
+        assert dts[-2 * parts:] == [2e-4 / parts] * (2 * parts)
+        assert row[6] == pytest.approx(row[5], rel=1e-3)
+
     def test_euler_run_outputs(self, tmp_path):
         cfg = small_config("euler-run", tmp_path / "er")
         experiments.run_euler(cfg)
