@@ -26,8 +26,11 @@ z = lam0 + |lam_mom|^2/(2*lam4): each moment is a fixed Gauss-Legendre
 rule in the rest-frame radius, one function of z per moment, and the chain
 rule.  The scalar functions (`pressure_psi`, `dual_q`, `hessian_psi`,
 `invert_to_multipliers`) run the same code on one cell.  The rest-frame
-pressure closure P(rho, e_int), the virial residual, and a tabulated
-closure for the Euler solver also live here.
+pressure closure P(rho, e_int), the virial residual, and the tabulated
+closure for the Euler solver also live here: a tensor Chebyshev
+interpolant of P on a (rho, e_int) rectangle, built by a DCT-II of P at
+Chebyshev points (`chebyshev_coefficients`, shared with the Fermi-operator
+expansion in micro), with its derivative series for the partials.
 
 Conventions: physical parameters are beta = lam4, alpha_j = lam_j/lam4,
 mu = lam0/lam4; spinless (no degeneracy factor); hbar = m = 1.
@@ -35,14 +38,11 @@ mu = lam0/lam4; spinless (no degeneracy factor); hbar = m = 1.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import BSpline, RectBivariateSpline
+from numpy.polynomial.chebyshev import chebder
 
 from .errors import NoConvergence, NonFinite, NonpositiveBeta, OutOfDomain
 
@@ -599,45 +599,60 @@ def virial_gap(model: EosModel, lam: MultiplierVector) -> float:
 # tabulated closure
 # ---------------------------------------------------------------------------
 
-_TABLE_FORMAT = "fermi-euler-eos-table"
-_TABLE_VERSION = 1
+# Chebyshev points per axis of a closure table whose config names none.
+TABLE_RESOLUTION = (48, 48)
+
+# A table keeps, along each axis, the degrees up to the last one with a
+# coefficient above _TABLE_FLOOR times the largest.  Past it the
+# coefficients are round-off: 2e-17 to 7e-17 of the largest on the
+# Brillouin-zone rectangle [0.15, 0.21] x [0.035, 0.065] (40 x 40 points),
+# where the cut leaves degree 14 x 16.
+_TABLE_FLOOR = 1e-15
 
 
-def _cell_taylor(knots: np.ndarray):
-    """Left edges of the nonempty intervals of a cubic spline's knot vector
-    and the Taylor coefficients of its basis functions there, shape
-    (4, n_intervals, n_basis): on interval i, B_j(x) = sum_m T[m, i, j] (x - edge_i)^m."""
-    edges = np.unique(knots)[:-1]
-    basis = BSpline(knots, np.eye(knots.size - 4), 3)
-    return edges, np.stack([basis(edges, nu=m) / math.factorial(m) for m in range(4)])
+def chebyshev_points(n: int) -> np.ndarray:
+    """The n first-kind Chebyshev points x_j = cos(pi (j + 1/2) / n),
+    descending."""
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
+def chebyshev_coefficients(y, axis: int = -1) -> np.ndarray:
+    """Coefficients c_0..c_{n-1} in T_m of the interpolant of samples y at
+    the n points `chebyshev_points(n)` along `axis`: a DCT-II of the
+    samples, by one FFT of their even extension.  (numpy's `chebinterpolate`
+    builds T_m(x_j) by the recurrence and leaves ~1e-15 of round-off in
+    every coefficient, more than the tails a degree is cut by.)"""
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
+    n = y.shape[-1]
+    spec = np.fft.fft(np.concatenate((y, y[..., ::-1]), axis=-1))[..., :n]
+    coef = (np.exp(-0.5j * np.pi * np.arange(n) / n) * spec).real / n
+    coef[..., 0] *= 0.5
+    return np.moveaxis(coef, -1, axis)
 
 
 @dataclass(frozen=True)
 class EosTable:
-    """Cubic-spline table of the rest pressure over (rho, e_int).
+    """Tensor Chebyshev interpolant of the rest pressure over a (rho, e_int)
+    rectangle.
 
-    Immutable after construction; evaluate(), pressure() and partials()
-    interpolate, raising OutOfDomain outside the tabulated rectangle.  The
-    interpolating spline is held as one bicubic polynomial per knot cell,
-    so a single pass gives P and both partials.
+    coef[k, i, j] multiplies T_i(x) T_j(y) in P (k = 0), dP/drho (k = 1)
+    and dP/de_int (k = 2), with x and y the affine maps of rho_range and
+    eint_range onto [-1, 1]; the partials are P's `chebder` series, so one
+    pass gives all three.  evaluate(), pressure() and partials() raise
+    OutOfDomain outside the stored ranges and NonFinite on non-finite
+    input, naming the index.
     """
 
     d: int
     domain: str
-    rho_grid: np.ndarray
-    eint_grid: np.ndarray
-    p_grid: np.ndarray        # shape (n_rho, n_eint)
-    # (rho edges, e_int edges, coefficients [cell, n, m] of v^n u^m), with
-    # u, v the offsets from the cell's lower corner
-    _cells: tuple = field(repr=False, compare=False, default=None)
+    rho_range: tuple
+    eint_range: tuple
+    coef: np.ndarray = field(repr=False, compare=False)  # (3, degree_rho + 1, degree_eint + 1)
 
-    def __post_init__(self):
-        spline = RectBivariateSpline(self.rho_grid, self.eint_grid, self.p_grid, kx=3, ky=3)
-        tx, ty, c = spline.tck
-        rho_edges, tr = _cell_taylor(tx)
-        eint_edges, te = _cell_taylor(ty)
-        coef = np.einsum("mip,pq,njq->ijnm", tr, c.reshape(tx.size - 4, ty.size - 4), te)
-        object.__setattr__(self, "_cells", (rho_edges, eint_edges, coef.reshape(-1, 4, 4)))
+    @property
+    def degree(self) -> tuple:
+        """Degree of the P series in rho and in e_int."""
+        return self.coef.shape[1] - 1, self.coef.shape[2] - 1
 
     def _guard(self, rho, eint):
         rho = np.asarray(rho, dtype=float)
@@ -645,32 +660,35 @@ class EosTable:
         finite = np.isfinite(rho) & np.isfinite(eint)
         if not np.all(finite):
             raise NonFinite(f"non-finite (rho, e_int) at index {int(np.argmin(finite))}")
-        for name, vals, grid in (("rho", rho, self.rho_grid), ("e_int", eint, self.eint_grid)):
-            outside = np.ravel((vals < grid[0]) | (vals > grid[-1]))
+        for name, vals, (lo, hi) in (("rho", rho, self.rho_range), ("e_int", eint, self.eint_range)):
+            outside = np.ravel((vals < lo) | (vals > hi))
             if np.any(outside):
                 i = int(np.argmax(outside))
                 raise OutOfDomain(
                     f"{name} = {float(np.ravel(vals)[i])!r} at index {i} outside the "
-                    f"tabulated range [{float(grid[0])!r}, {float(grid[-1])!r}]"
+                    f"tabulated range [{lo!r}, {hi!r}]"
                 )
-        return rho, eint
+        return np.broadcast_arrays(rho, eint)
 
     def evaluate(self, rho, eint):
-        """(P, dP/drho, dP/de_int) of the spline, Horner-evaluated on the
-        bicubic piece of each point's knot cell."""
+        """(P, dP/drho, dP/de_int) at (rho, e_int): one Chebyshev recurrence
+        over both scaled arguments, then one product with the stacked
+        coefficients."""
         rho, eint = self._guard(rho, eint)
-        rho_edges, eint_edges, coef = self._cells
-        i = np.clip(np.searchsorted(rho_edges, rho, side="right") - 1, 0, rho_edges.size - 1)
-        j = np.clip(np.searchsorted(eint_edges, eint, side="right") - 1, 0, eint_edges.size - 1)
-        u = rho - rho_edges[i]
-        v = (eint - eint_edges[j])[..., None]
-        a = coef[i * eint_edges.size + j]
-        # coefficients of u^m after summing over the powers of v, and of dv
-        av = ((a[..., 3, :] * v + a[..., 2, :]) * v + a[..., 1, :]) * v + a[..., 0, :]
-        dav = (3.0 * a[..., 3, :] * v + 2.0 * a[..., 2, :]) * v + a[..., 1, :]
-        p = ((av[..., 3] * u + av[..., 2]) * u + av[..., 1]) * u + av[..., 0]
-        dp_drho = (3.0 * av[..., 3] * u + 2.0 * av[..., 2]) * u + av[..., 1]
-        dp_deint = ((dav[..., 3] * u + dav[..., 2]) * u + dav[..., 1]) * u + dav[..., 0]
+        n_rho, n_eint = self.coef.shape[1:]
+        # t[m] = (T_m(x), T_m(y)) at every point
+        t = np.empty((max(n_rho, n_eint), 2, rho.size))
+        t[0] = 1.0
+        for arg, vals, (lo, hi) in zip(t[1], (rho, eint), (self.rho_range, self.eint_range)):
+            np.multiply(vals.ravel() - 0.5 * (lo + hi), 2.0 / (hi - lo), out=arg)
+        x = 2.0 * t[1]
+        for m in range(2, t.shape[0]):
+            np.multiply(x, t[m - 1], out=t[m])
+            t[m] -= t[m - 2]
+        # sum_j coef[k, i, j] T_j(y), then its products with T_i(x) summed over i
+        out = (self.coef.reshape(-1, n_eint) @ t[:n_eint, 1]).reshape(3, n_rho, -1)
+        out *= t[:n_rho, 0]
+        p, dp_drho, dp_deint = out.sum(axis=1).reshape((3,) + rho.shape)
         return p, dp_drho, dp_deint
 
     def pressure(self, rho, eint):
@@ -680,53 +698,31 @@ class EosTable:
     def partials(self, rho, eint):
         return self.evaluate(rho, eint)[1:]
 
-    def save(self, path) -> None:
-        payload = {
-            "format": _TABLE_FORMAT,
-            "version": _TABLE_VERSION,
-            "header": {
-                "d": self.d,
-                "domain": self.domain,
-                "rho_range": [self.rho_grid[0], self.rho_grid[-1]],
-                "eint_range": [self.eint_grid[0], self.eint_grid[-1]],
-                "resolution": [len(self.rho_grid), len(self.eint_grid)],
-            },
-            "rho_grid": self.rho_grid.tolist(),
-            "eint_grid": self.eint_grid.tolist(),
-            "p_grid": self.p_grid.ravel().tolist(),
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def load(cls, path) -> "EosTable":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != _TABLE_FORMAT:
-            raise ValueError(f"{path}: not an EOS table file")
-        if payload.get("version") != _TABLE_VERSION:
-            raise ValueError(f"{path}: unsupported table version {payload.get('version')}")
-        shape = tuple(payload["header"]["resolution"])
-        return cls(
-            d=payload["header"]["d"],
-            domain=payload["header"]["domain"],
-            rho_grid=np.asarray(payload["rho_grid"]),
-            eint_grid=np.asarray(payload["eint_grid"]),
-            p_grid=np.asarray(payload["p_grid"]).reshape(shape),
-        )
-
 
 def tabulate(
     model: EosModel,
     rho_range: tuple[float, float],
     eint_range: tuple[float, float],
-    resolution: tuple[int, int] = (48, 48),
+    resolution: tuple[int, int] = TABLE_RESOLUTION,
 ) -> EosTable:
-    """Tabulate P over a (rho, e_int) rectangle.
+    """Tabulate P over a (rho, e_int) rectangle at resolution Chebyshev
+    points per axis.
 
-    The whole rectangle must sit inside the one-phase domain, i.e. the low
-    edge of eint_range must clear the T=0 floor at the high edge of rho_range.
+    Each point is inverted by `invert_to_multipliers`, warm-started from its
+    neighbour; one batched Newton step on all of them then takes the
+    inversions to round-off, and P = psi/lam4.  The coefficients come from
+    a DCT-II along each axis, cut past the last degree above _TABLE_FLOOR
+    of the largest.  The whole rectangle must sit inside the one-phase
+    domain: the low edge of eint_range must clear the T=0 floor at the high
+    edge of rho_range, and on the Brillouin zone the high edge must stay
+    below the infinite-temperature energy rho * mean_k |p_k|^2/2 at the low
+    edge of rho_range.
     """
     rho_lo, rho_hi = rho_range
     eint_lo, eint_hi = eint_range
+    if not (rho_lo < rho_hi and eint_lo < eint_hi and min(resolution) >= 2):
+        raise ValueError(f"empty table rectangle {rho_range} x {eint_range} or resolution "
+                         f"{resolution} below 2 points per axis")
     if rho_lo <= 0.0:
         raise OutOfDomain("rho range must be strictly positive")
     if model.domain == BRILLOUIN and rho_hi >= 1.0:
@@ -735,30 +731,50 @@ def tabulate(
         raise OutOfDomain(
             f"eint range dips below the T=0 floor {energy_floor(model, rho_hi):.6e}"
         )
+    if model.domain == BRILLOUIN:
+        hot = rho_lo * 0.5 * model.d * np.mean(brillouin_momenta(model.bz_nodes) ** 2)
+        if eint_hi >= hot:
+            raise OutOfDomain(
+                f"eint range reaches the infinite-temperature energy {hot:.6e} at rho = {rho_lo}"
+            )
     n_rho, n_eint = resolution
-    rho_grid = np.linspace(rho_lo, rho_hi, n_rho)
-    eint_grid = np.linspace(eint_lo, eint_hi, n_eint)
-    p = np.empty((n_rho, n_eint))
+    rho = 0.5 * (rho_lo + rho_hi) + 0.5 * (rho_hi - rho_lo) * chebyshev_points(n_rho)
+    eint = 0.5 * (eint_lo + eint_hi) + 0.5 * (eint_hi - eint_lo) * chebyshev_points(n_eint)
+    lam = np.empty((n_rho, n_eint, model.d + 2))
     guess = None
-    for i, rho in enumerate(rho_grid):
+    for i in range(n_rho):
         row_guess = guess
-        for j, eint in enumerate(eint_grid):
-            q = ConservedVector(rho=rho, mom=np.zeros(model.d), e=eint)
-            lam = invert_to_multipliers(model, q, row_guess)
-            row_guess = lam
+        for j in range(n_eint):
+            q = ConservedVector(rho=rho[i], mom=np.zeros(model.d), e=eint[j])
+            row_guess = invert_to_multipliers(model, q, row_guess)
             if j == 0:
-                guess = lam  # warm start for the next rho row
-            p[i, j] = pressure_psi(model, lam) / lam.lam4
-    return EosTable(
-        d=model.d, domain=model.domain, rho_grid=rho_grid, eint_grid=eint_grid, p_grid=p
-    )
+                guess = row_guess  # warm start for the next rho row
+            lam[i, j] = row_guess.as_array()
+    target = np.zeros_like(lam)
+    target[..., 0] = rho[:, None]
+    target[..., -1] = -eint
+    _, grad, hess = moments(model, lam)
+    lam -= _solve(hess, grad - target)
+    p = moments(model, lam, grad=False, hess=False)[0] / lam[..., -1]
+    c = chebyshev_coefficients(chebyshev_coefficients(p, axis=0), axis=1)
+    size = np.abs(c)
+    above = [np.flatnonzero(size.max(axis=other) > _TABLE_FLOOR * size.max()) for other in (1, 0)]
+    # at least degree 1 per axis, where the recurrence in `evaluate` starts
+    c = c[: max(above[0][-1], 1) + 1, : max(above[1][-1], 1) + 1]
+    coef = np.zeros((3,) + c.shape)
+    coef[0] = c
+    coef[1, :-1] = chebder(c, scl=2.0 / (rho_hi - rho_lo), axis=0)
+    coef[2, :, :-1] = chebder(c, scl=2.0 / (eint_hi - eint_lo), axis=1)
+    return EosTable(d=model.d, domain=model.domain, rho_range=(float(rho_lo), float(rho_hi)),
+                    eint_range=(float(eint_lo), float(eint_hi)), coef=coef)
 
 
 class PressureClosure:
     """Callable P(rho, e_int) for the Euler solver, with `partials` giving
     (dP/drho, dP/de_int) of the same surface: table-backed by default (the
-    spline), direct Newton evaluation when validating (the rest-frame
-    inversion and its exact response).
+    Chebyshev interpolant and its derivative series), direct Newton
+    evaluation when validating (the rest-frame inversion and its exact
+    response).
 
     Both paths evaluate P and its partials together and remember the last
     evaluation, so the partials at the points of a pressure just computed

@@ -5,9 +5,9 @@ Conservation form on the periodic unit torus,
     d/dT (rho, q1, q4) + d/dX (A0, A1, A4) = 0,
     A0 = q1,  A1 = P + q1^2/rho,  A4 = q1 (q4 + P) / rho,
 
-with P = P(rho, e_int) supplied by the free-Fermi-gas closure (the spline
-table when the config has a table section, direct Newton evaluation
-without one).  First-order Rusanov (local Lax-Friedrichs) interface fluxes
+with P = P(rho, e_int) supplied by the free-Fermi-gas closure (the
+Chebyshev table when the config has a table section, direct Newton
+evaluation without one).  First-order Rusanov (local Lax-Friedrichs) interface fluxes
 with the wave-speed bound |u| + c taken from the closed-form characteristic speeds u, u +- c of this flux,
 where c^2 = dP/drho + (e_int + P)/rho * dP/de_int comes from the closure's
 own partials; two-stage Heun time update: the simplest provably conservative
@@ -164,8 +164,8 @@ def wave_speed_bound(
 
         c^2 = dP/drho + (e_int + P) / rho * dP/de_int
 
-    from `closure.partials` (the spline's derivatives on the table path, so
-    these are the speeds of the pressure that enters the flux).  `pressure`
+    from `closure.partials` (the table's derivative series on the table
+    path, so these are the speeds of the pressure that enters the flux).  `pressure`
     is the closure's P on q when the caller has it already.
 
     Uses |mom|, so the bound is bitwise even in the momentum sign and the

@@ -68,6 +68,8 @@ class ExperimentConfig:
                 )
             if L % self.ell_ratio != 0:
                 raise ValueError(f"ell_ratio {self.ell_ratio} must divide L = {L}")
+        if self.table is not None:
+            _check_table(self.table)
 
     @property
     def report_times(self) -> list:
@@ -81,27 +83,12 @@ class ExperimentConfig:
 
     def closure(self):
         """Tabulated pressure closure when the config has a table section,
-        direct Newton evaluation without one.
-
-        The table section either names a serialized table file ({"path": ...})
-        or gives the ranges to tabulate inline.
-        """
+        direct Newton evaluation without one."""
         from .. import eos
 
         model = self.eos_model()
-        if self.table is None:
-            return eos.PressureClosure(model, None)
-        if "path" in self.table:
-            return eos.PressureClosure(model, eos.EosTable.load(self.table["path"]))
-        return eos.PressureClosure(
-            model,
-            eos.tabulate(
-                model,
-                tuple(self.table["rho_range"]),
-                tuple(self.table["eint_range"]),
-                tuple(self.table.get("resolution", (48, 48))),
-            ),
-        )
+        table = None if self.table is None else eos_table(model, self.table)
+        return eos.PressureClosure(model, table)
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -112,6 +99,29 @@ class ExperimentConfig:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+
+def _check_table(section: dict):
+    """A table section gives its rectangle inline: rho_range and eint_range,
+    resolution optional.  Table files are retired, so a "path" is refused."""
+    problems = [f"no {key!r}" for key in ("rho_range", "eint_range") if key not in section]
+    if "path" in section:
+        problems.append("a 'path', but table files are retired: a table is built from its ranges")
+    if problems:
+        raise ValueError("table section has " + " and ".join(problems))
+
+
+def eos_table(model, section: dict):
+    """The closure table of a table section: its rho_range x eint_range
+    rectangle at its resolution, eos.TABLE_RESOLUTION when it names none."""
+    from .. import eos
+
+    return eos.tabulate(
+        model,
+        tuple(section["rho_range"]),
+        tuple(section["eint_range"]),
+        tuple(section.get("resolution", eos.TABLE_RESOLUTION)),
+    )
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import eos, euler, ldp, micro
 from ..micro import GaussianState, Lattice, MultiplierField
-from .config import ExperimentConfig, write_manifest
+from .config import ExperimentConfig, eos_table, write_manifest
 
 TEST_FUNCTIONS = {
     "one": lambda X: np.ones_like(X),
@@ -407,26 +407,16 @@ def run_micro(config: ExperimentConfig, out_dir=None) -> Path:
 
 
 def run_eos_table(config: ExperimentConfig, out_dir=None) -> Path:
-    """eos-table: serialized table plus a CSV preview."""
-    model = config.eos_model()
-    ranges = config.table or {
-        "rho_range": [0.15, 0.21],
-        "eint_range": [0.035, 0.065],
-        "resolution": [48, 48],
-    }
-    table = eos.tabulate(
-        model,
-        tuple(ranges["rho_range"]),
-        tuple(ranges["eint_range"]),
-        tuple(ranges.get("resolution", (48, 48))),
-    )
+    """eos-table: the closure table of the config's table section (or of
+    [0.15, 0.21] x [0.035, 0.065]), previewed as P and its partials on a
+    uniform 12 x 12 grid."""
+    ranges = config.table or {"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065]}
+    table = eos_table(config.eos_model(), ranges)
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table.save(out / "eos_table.json")
-    si = max(1, table.rho_grid.size // 12)
-    sj = max(1, table.eint_grid.size // 12)
-    rho, eint = np.meshgrid(table.rho_grid[::si], table.eint_grid[::sj], indexing="ij")
-    columns = (rho, eint, table.p_grid[::si, ::sj], *table.partials(rho, eint))
+    rho, eint = np.meshgrid(np.linspace(*table.rho_range, 12),
+                            np.linspace(*table.eint_range, 12), indexing="ij")
+    columns = (rho, eint, *table.evaluate(rho, eint))
     rows = np.column_stack([c.ravel() for c in columns]).tolist()
     _write_csv(out / "eos_table_preview.csv", ["rho", "eint", "P", "dP_drho", "dP_deint"], rows)
     write_manifest(out, config)

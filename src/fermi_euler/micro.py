@@ -64,7 +64,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import zherk
 from scipy.special import expit
 
-from .eos import brillouin_momenta
+from .eos import brillouin_momenta, chebyshev_coefficients, chebyshev_points
 from .errors import (
     BadWindow,
     CutoffTooLarge,
@@ -457,19 +457,6 @@ def _exponent_width(modes: list, lam_max: float) -> int:
     return int(np.max(order[above], initial=0))
 
 
-def _chebyshev_coefficients(f, size: int) -> np.ndarray:
-    """Coefficients c_0..c_{size-1} in T_m of the interpolant of f at the
-    Chebyshev points x_j = cos(pi (j + 1/2) / size): a DCT-II of the samples,
-    by one FFT of their even extension.  (numpy's `chebinterpolate` builds
-    T_m(x_j) by the recurrence and leaves ~1e-15 of round-off in every
-    coefficient, more than the tail sums the degree is chosen by.)"""
-    y = f(np.cos(np.pi * (np.arange(size) + 0.5) / size))
-    spec = np.fft.fft(np.concatenate((y, y[::-1])))[:size]
-    coef = (np.exp(-0.5j * np.pi * np.arange(size) / size) * spec).real / size
-    coef[0] *= 0.5
-    return coef
-
-
 def _chebyshev_series(a: float, b: float, max_degree: float):
     """Chebyshev coefficients, on [a, b], of expit and of the mode entropy
     softplus(x) - x expit(x), cut at the smallest degree n at which both
@@ -479,8 +466,8 @@ def _chebyshev_series(a: float, b: float, max_degree: float):
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     size = 64
     while True:
-        coef = [_chebyshev_coefficients(lambda t: f(mid + half * t), size)
-                for f in (expit, _mode_entropy_terms)]
+        x = mid + half * chebyshev_points(size)
+        coef = [chebyshev_coefficients(f(x)) for f in (expit, _mode_entropy_terms)]
         # dropped[n] = sum_{m > n} |c_m|, the larger of the two series
         dropped = np.max([np.cumsum(np.abs(c[::-1]))[::-1] for c in coef], axis=0)
         dropped = np.append(dropped[1:], 0.0)

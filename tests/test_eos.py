@@ -1,7 +1,5 @@
 """Free-Fermi-gas thermodynamics: pressure, dual map, inversion, closures."""
 
-import json
-
 import mpmath
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from fermi_euler.eos import (
     UNBOUNDED,
     ConservedVector,
     EosModel,
-    EosTable,
     MultiplierVector,
     PressureClosure,
     dual_q,
@@ -464,14 +461,72 @@ class TestVirial:
 @pytest.fixture(scope="module")
 def table():
     # floor at rho = 0.36 is pi^2 0.36^3/6 = 0.0768, below the eint range
-    return tabulate(M1, (0.18, 0.36), (0.085, 0.22), resolution=(56, 56))
+    return tabulate(M1, (0.18, 0.36), (0.085, 0.22), resolution=(24, 24))
+
+
+BZ = EosModel(d=1, domain=BRILLOUIN, bz_nodes=4096)
+
+
+@pytest.fixture(scope="module")
+def bz_table():
+    # the closure table of the benchmark's Euler workloads
+    return tabulate(BZ, (0.15, 0.21), (0.035, 0.065), resolution=(40, 40))
+
+
+def forward_rest(model, rho, eint, rho_range, eint_range):
+    """(rho, e_int, P) computed forward from multipliers: `invert` at the
+    targets, one Newton step through `moments` to take the residual to
+    round-off, then the multipliers' own densities and psi/lam4.  The
+    forward (rho, e_int) differ from the targets by round-off only, and are
+    clipped into the rectangle so that edge points stay on it."""
+    signed = np.stack([rho, np.zeros_like(rho), -eint], axis=-1)
+    lam = invert(model, signed * [1.0, 1.0, -1.0])
+    _, grad, hess = moments(model, lam)
+    lam -= np.linalg.solve(hess, (grad - signed)[..., None])[..., 0]
+    psi, q, _ = moments(model, lam, hess=False)
+    rho_f = q[:, 0]
+    eint_f = -q[:, -1] - 0.5 * q[:, 1] ** 2 / rho_f
+    return np.clip(rho_f, *rho_range), np.clip(eint_f, *eint_range), psi / lam[:, -1]
+
+
+def rectangle_sample(rho_range, eint_range, rng, n_random=300, n_edge=12):
+    """Random points, points along the four edges, and the four corners."""
+    edge = np.linspace(0.0, 1.0, n_edge)
+    u = np.concatenate([rng.uniform(0, 1, n_random), edge, edge, np.zeros(n_edge),
+                        np.ones(n_edge), [0, 0, 1, 1]])
+    v = np.concatenate([rng.uniform(0, 1, n_random), np.zeros(n_edge), np.ones(n_edge),
+                        edge, edge, [0, 1, 0, 1]])
+    (r0, r1), (e0, e1) = rho_range, eint_range
+    return r0 + (r1 - r0) * u, e0 + (e1 - e0) * v
 
 
 class TestTable:
-    def test_node_exactness(self, table):
-        i, j = 11, 29
-        rho, eint = table.rho_grid[i], table.eint_grid[j]
-        assert table.pressure(rho, eint) == pytest.approx(rest_pressure(rho, eint), abs=1e-12)
+    @pytest.mark.parametrize("domain", [UNBOUNDED, BRILLOUIN])
+    def test_forward_oracle(self, domain, table, bz_table, rng):
+        # the interpolant against P computed forward from multipliers, at
+        # random points, along the edges and at the corners: the nodes are
+        # Chebyshev points, so the edges are reached only by interpolation
+        tab, model = (table, M1) if domain == UNBOUNDED else (bz_table, BZ)
+        rho, eint, exact = forward_rest(
+            model, *rectangle_sample(tab.rho_range, tab.eint_range, rng),
+            tab.rho_range, tab.eint_range,
+        )
+        assert np.max(np.abs(tab.pressure(rho, eint) - exact) / exact) <= 1e-13
+
+    def test_degree_cut_on_benchmark_rectangle(self, bz_table):
+        # 40 x 40 points, cut where the coefficients reach round-off; every
+        # further degree costs each closure call two ufuncs and more matmul
+        assert max(bz_table.degree) <= 20
+
+    def test_partials_match_direct_closure(self, bz_table, rng):
+        # the chebder series against the direct closure's exact response,
+        # each relative to its largest value (dP/drho ~ -4e-4, dP/de_int ~ 2);
+        # largest at the edges, 3.5e-8 and 1.1e-9 there
+        rho, eint = rectangle_sample(bz_table.rho_range, bz_table.eint_range, rng, 100, 4)
+        got = bz_table.partials(rho, eint)
+        want = PressureClosure(BZ, None).partials(rho, eint)
+        for g, w, tol in zip(got, want, (1e-7, 1e-8)):
+            assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w))
 
     def test_random_probes(self, table, rng):
         rho = rng.uniform(0.19, 0.35, 100)
@@ -486,14 +541,15 @@ class TestTable:
         fd_e = (table.pressure(rho, eint + h) - table.pressure(rho, eint - h)) / (2 * h)
         # the 1D virial P = 2 e_int makes dP/drho identically 0 on the
         # unbounded domain (a central difference of P in rho is rounding
-        # only), so the spline's slope is held to 0: 2.7e-13 here
+        # only), so the table's slope is held to 0
         assert dpr == pytest.approx(0.0, abs=1e-12)
         assert dpe == pytest.approx(fd_e, rel=1e-5)
 
     def test_partials_match_fd_brillouin(self):
         # on the Brillouin zone both partials are nonzero (dP/drho = -4.1e-4
-        # here); the spline is cubic in each cell, so the central difference
-        # is off by h^2 P'''/6: 1.0e-7 and 4.5e-10 relative at this h
+        # here); against the table's chebder series the central difference is
+        # off by h^2 P'''/6 and the rounding of P over 2h: 1.1e-7 and 4.5e-10
+        # relative at this h
         table = tabulate(EosModel(d=1, domain=BRILLOUIN, bz_nodes=512),
                          (0.15, 0.21), (0.035, 0.065), resolution=(16, 16))
         rho, eint = 0.18, 0.05
@@ -505,11 +561,10 @@ class TestTable:
         assert dpr == pytest.approx(fd_r, rel=1e-5)
         assert dpe == pytest.approx(fd_e, rel=1e-5)
 
-    def test_direct_partials_match_fd_of_direct(self, table):
-        # exact thermodynamic partials of the direct closure at a table node
-        # vs finite differences of direct evaluations
-        i, j = 20, 20
-        rho, eint = table.rho_grid[i], table.eint_grid[j]
+    def test_direct_partials_match_fd_of_direct(self):
+        # exact thermodynamic partials of the direct closure vs finite
+        # differences of direct evaluations, at a fixed point
+        rho, eint = 0.25, 0.13
         h = 2e-5
 
         fd_r = (rest_pressure(rho + h, eint) - rest_pressure(rho - h, eint)) / (2 * h)
@@ -525,21 +580,16 @@ class TestTable:
         with pytest.raises(OutOfDomain):
             tabulate(M1, (0.2, 0.4), (0.5 * energy_floor(M1, 0.4), 0.2), resolution=(8, 8))
 
-    def test_evaluate_matches_fitpack_spline(self, table, rng):
-        # the bicubic pieces reproduce scipy's evaluation of the same spline
-        from scipy.interpolate import RectBivariateSpline
-
-        spline = RectBivariateSpline(table.rho_grid, table.eint_grid, table.p_grid)
-        rho = np.concatenate([table.rho_grid[[0, -1, 0, -1]], table.rho_grid,
-                              rng.uniform(table.rho_grid[0], table.rho_grid[-1], 500)])
-        eint = np.concatenate([table.eint_grid[[0, 0, -1, -1]], table.eint_grid,
-                               rng.uniform(table.eint_grid[0], table.eint_grid[-1], 500)])
-        p, dp_drho, dp_deint = table.evaluate(rho, eint)
-        ref = spline.ev(rho, eint)
-        assert np.max(np.abs(p - ref)) < 1e-13 * np.abs(ref).max()
-        scale = np.abs(spline.ev(rho, eint, dy=1)).max()
-        assert np.max(np.abs(dp_drho - spline.ev(rho, eint, dx=1))) < 1e-10 * scale
-        assert np.max(np.abs(dp_deint - spline.ev(rho, eint, dy=1))) < 1e-10 * scale
+    def test_hot_edge_rejected_before_inverting(self, monkeypatch):
+        # on the Brillouin zone the energy at rho stays below its beta -> 0+
+        # limit rho mean_k p_k^2/2 (pi^2 rho / 6 for many nodes): 0.0411 at
+        # rho = 0.025, which eint_hi = 0.05 passes
+        calls = []
+        monkeypatch.setattr(eos, "invert_to_multipliers", lambda *args: calls.append(args))
+        with pytest.raises(OutOfDomain, match=r"infinite-temperature energy 4\.11"):
+            tabulate(EosModel(d=1, domain=BRILLOUIN, bz_nodes=512),
+                     (0.025, 0.05), (0.03, 0.05), resolution=(8, 8))
+        assert calls == []
 
     def test_non_finite_probe_rejected(self, table):
         rho = np.full(4, 0.3)
@@ -567,16 +617,3 @@ class TestTable:
         with pytest.raises(OutOfDomain, match=r"e_int = 0\.05 at index 1 outside the "
                                               r"tabulated range \[0\.085, 0\.22\]"):
             table.partials(np.full(5, 0.3), eint)
-
-    def test_serialization_roundtrip(self, table, tmp_path):
-        path = tmp_path / "eos_table.json"
-        table.save(path)
-        back = EosTable.load(path)
-        assert np.array_equal(back.p_grid, table.p_grid)
-        # a version-1 file that still carries the old partial grids loads too
-        payload = json.loads(path.read_text())
-        payload["dp_drho_grid"] = payload["dp_deint_grid"] = payload["p_grid"]
-        path.write_text(json.dumps(payload))
-        assert np.array_equal(EosTable.load(path).p_grid, table.p_grid)
-        assert np.array_equal(back.rho_grid, table.rho_grid)
-        assert back.pressure(0.3, 0.15) == pytest.approx(table.pressure(0.3, 0.15), abs=1e-14)

@@ -49,6 +49,23 @@ class TestConfig:
         assert cfg.seed == 99
         assert cfg.extra["custom_knob"] == 7
 
+    @pytest.mark.parametrize("section, message", [
+        ({"eint_range": [0.035, 0.065]}, r"no 'rho_range'$"),
+        ({"rho_range": [0.15, 0.21], "resolution": [8, 8]}, r"no 'eint_range'$"),
+        ({"path": "eos_table.json"}, "no 'rho_range' and no 'eint_range' and a 'path'.*retired"),
+    ])
+    def test_table_section_validated(self, section, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind="euler-run", table=section)
+
+    def test_table_resolution_defaults_to_the_eos_default(self, monkeypatch):
+        from fermi_euler import eos
+
+        seen = []
+        monkeypatch.setattr(eos, "tabulate", lambda model, rho, eint, res: seen.append(res))
+        ExperimentConfig(table={"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065]}).closure()
+        assert seen == [eos.TABLE_RESOLUTION]
+
     def test_tolerance_override(self):
         cfg = ExperimentConfig(tolerances={"virial": 0.5})
         assert cfg.tolerance("virial", 1e-8) == 0.5
@@ -251,11 +268,15 @@ class TestExperiments:
     def test_eos_table_run(self, tmp_path):
         cfg = small_config("eos-table", tmp_path / "et")
         experiments.run_eos_table(cfg)
-        from fermi_euler import eos
-
-        table = eos.EosTable.load(tmp_path / "et" / "eos_table.json")
-        assert table.d == 1
-        assert (tmp_path / "et" / "eos_table_preview.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "et").iterdir()) == [
+            "eos_table_preview.csv", "manifest.json"]
+        rows = np.loadtxt(tmp_path / "et" / "eos_table_preview.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (144, 5)
+        # a uniform 12 x 12 grid from corner to corner of the table section
+        assert rows[0, :2].tolist() == [0.15, 0.035] and rows[-1, :2].tolist() == [0.21, 0.065]
+        # on the Brillouin zone P sits near the 1D virial 2 e_int, dP/de_int near 2
+        assert np.all(np.abs(rows[:, 2] / (2.0 * rows[:, 1]) - 1.0) < 0.05)
+        assert np.all(np.abs(rows[:, 4] - 2.0) < 0.1)
 
     def test_rate_scan_run(self, tmp_path):
         cfg = small_config("rate-scan", tmp_path / "rs",
@@ -379,7 +400,7 @@ class TestCli:
             ["eos-table", "--config", str(table_cfg), "--out", str(tmp_path / "cli_et")]
         )
         assert code == 0
-        assert (tmp_path / "cli_et" / "eos_table.json").exists()
+        assert (tmp_path / "cli_et" / "eos_table_preview.csv").exists()
 
     def test_cli_euler_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -397,28 +418,6 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "cli_er" / "manifest.json").exists()
-
-    def test_cli_euler_run_with_table_path(self, tmp_path):
-        # eos-table emits a file that euler-run consumes by path
-        table_cfg = tmp_path / "tc.json"
-        table_cfg.write_text(json.dumps({"table": SMALL_TABLE}))
-        assert cli_main(["eos-table", "--config", str(table_cfg),
-                         "--out", str(tmp_path / "tab")]) == 0
-        run_cfg = tmp_path / "rc.json"
-        run_cfg.write_text(
-            json.dumps(
-                {
-                    "n_cells": 64,
-                    "times": [0.0, 0.005],
-                    "table": {"path": str(tmp_path / "tab" / "eos_table.json")},
-                }
-            )
-        )
-        code = cli_main(
-            ["euler-run", "--config", str(run_cfg), "--out", str(tmp_path / "er2")]
-        )
-        assert code == 0
-        assert (tmp_path / "er2" / "euler_T0.005000.csv").exists()
 
     def test_cli_rejects_unknown_command(self):
         with pytest.raises(SystemExit):

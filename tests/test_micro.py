@@ -359,7 +359,7 @@ class TestChebyshevGibbs:
         assert np.max(np.abs(chebyshev.chebval(t, coef_h) - h)) <= micro.CHEB_TOL
         # the FFT coefficients are numpy's interpolant's
         f = lambda s: expit(0.5 * (b - a) * s + 0.5 * (a + b))  # noqa: E731
-        assert np.max(np.abs(micro._chebyshev_coefficients(f, 41)
+        assert np.max(np.abs(eos.chebyshev_coefficients(f(eos.chebyshev_points(41)))
                              - chebyshev.chebinterpolate(f, 40))) < 1e-14
 
     def test_wide_exponent_takes_eigh(self):
