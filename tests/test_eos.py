@@ -591,6 +591,15 @@ class TestTable:
                      (0.025, 0.05), (0.03, 0.05), resolution=(8, 8))
         assert calls == []
 
+    def test_wide_rectangle_builds(self):
+        # across this rectangle beta runs from 1.8 to 5e-4; extrapolating a
+        # node's warm start from the last rows overshoots to lam4 < 0 at one
+        # node here, which then starts from its neighbour instead
+        table = tabulate(M1, (0.05, 1.0), (1.7, 50.0), resolution=(6, 6))
+        rho, eint = np.array([0.05, 1.0, 0.05, 1.0]), np.array([1.7, 1.7, 50.0, 50.0])
+        # the 1D virial: P = 2 e_int on the unbounded domain
+        assert np.max(np.abs(table.pressure(rho, eint) / (2.0 * eint) - 1.0)) < 1e-13
+
     def test_non_finite_probe_rejected(self, table):
         rho = np.full(4, 0.3)
         eint = np.full(4, 0.15)

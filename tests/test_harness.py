@@ -53,7 +53,7 @@ class TestConfig:
         ({"eint_range": [0.035, 0.065]}, r"no 'rho_range'$"),
         ({"rho_range": [0.15, 0.21], "resolution": [8, 8]}, r"no 'eint_range'$"),
         ({"path": "eos_table.json"}, "no 'rho_range' and no 'eint_range' and a 'path'.*retired"),
-    ])
+    ], ids=["no-rho-range", "no-eint-range", "path"])
     def test_table_section_validated(self, section, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(kind="euler-run", table=section)
