@@ -604,16 +604,14 @@ def virial_gap(model: EosModel, lam: MultiplierVector) -> float:
 TABLE_RESOLUTION = (48, 48)
 
 # A table keeps, along each axis, the degrees up to the last one with a
-# coefficient above _TABLE_FLOOR times the largest.  Past it the
-# coefficients are round-off: 2e-17 to 7e-17 of the largest on the
-# Brillouin-zone rectangle [0.15, 0.21] x [0.035, 0.065] (40 x 40 points),
-# where the cut leaves degree 14 x 16.
+# coefficient above _TABLE_FLOOR times the largest.  Past it they are
+# round-off, 2e-17 to 7e-17 of the largest on the benchmark's rectangle
+# [0.15, 0.21] x [0.035, 0.065] (40 x 40 points), cut to degree 14 x 16.
 _TABLE_FLOOR = 1e-15
 
 
 def chebyshev_points(n: int) -> np.ndarray:
-    """The n first-kind Chebyshev points x_j = cos(pi (j + 1/2) / n),
-    descending."""
+    """The n first-kind Chebyshev points cos(pi (j + 1/2) / n), descending."""
     return np.cos(np.pi * (np.arange(n) + 0.5) / n)
 
 
@@ -650,11 +648,6 @@ class EosTable:
     eint_range: tuple
     coef: np.ndarray = field(repr=False, compare=False)  # (3, degree_rho + 1, degree_eint + 1)
 
-    @property
-    def degree(self) -> tuple:
-        """Degree of the P series in rho and in e_int."""
-        return self.coef.shape[1] - 1, self.coef.shape[2] - 1
-
     def _guard(self, rho, eint):
         rho = np.asarray(rho, dtype=float)
         eint = np.asarray(eint, dtype=float)
@@ -689,8 +682,7 @@ class EosTable:
         # sum_j coef[k, i, j] T_j(y), then its products with T_i(x) summed over i
         out = (self.coef.reshape(-1, n_eint) @ t[:n_eint, 1]).reshape(3, n_rho, -1)
         out *= t[:n_rho, 0]
-        p, dp_drho, dp_deint = out.sum(axis=1).reshape((3,) + rho.shape)
-        return p, dp_drho, dp_deint
+        return tuple(out.sum(axis=1).reshape((3,) + rho.shape))
 
     def pressure(self, rho, eint):
         out = self.evaluate(rho, eint)[0]
@@ -702,10 +694,8 @@ class EosTable:
 
 def _extrapolate(nodes: np.ndarray, lam: np.ndarray, x: float) -> MultiplierVector:
     """The polynomial through the multipliers lam (k, d+2) at the k nodes,
-    evaluated at x, or the last of them where that leaves lam4 <= 0.
-    Through four neighbours this starts a node's Newton about two kernel
-    evaluations from its solution, against four from the nearest neighbour
-    alone (2.05 against 3.97 per node on the benchmark's 40 x 40 table)."""
+    at x, or lam[-1] where that has lam4 <= 0.  From four neighbours a node's
+    Newton takes 2.05 kernel evaluations, from one 3.97 (40 x 40 table)."""
     weights = [math.prod((x - b) / (a - b) for b in nodes if b != a) for a in nodes]
     guess = np.dot(weights, lam)
     return MultiplierVector.from_array(guess if guess[-1] > 0.0 else lam[-1])
@@ -733,8 +723,7 @@ def tabulate(
     rho_lo, rho_hi = rho_range
     eint_lo, eint_hi = eint_range
     if not (rho_lo < rho_hi and eint_lo < eint_hi and min(resolution) >= 2):
-        raise ValueError(f"empty table rectangle {rho_range} x {eint_range} or resolution "
-                         f"{resolution} below 2 points per axis")
+        raise ValueError(f"empty rectangle {rho_range} x {eint_range} or resolution {resolution}")
     if rho_lo <= 0.0:
         raise OutOfDomain("rho range must be strictly positive")
     if model.domain == BRILLOUIN and rho_hi >= 1.0:
@@ -746,9 +735,8 @@ def tabulate(
     if model.domain == BRILLOUIN:
         hot = rho_lo * 0.5 * model.d * np.mean(brillouin_momenta(model.bz_nodes) ** 2)
         if eint_hi >= hot:
-            raise OutOfDomain(
-                f"eint range reaches the infinite-temperature energy {hot:.6e} at rho = {rho_lo}"
-            )
+            raise OutOfDomain(f"eint range reaches the infinite-temperature energy {hot:.6e} "
+                              f"at rho = {rho_lo}")
     n_rho, n_eint = resolution
     rho = 0.5 * (rho_lo + rho_hi) + 0.5 * (rho_hi - rho_lo) * chebyshev_points(n_rho)
     eint = 0.5 * (eint_lo + eint_hi) + 0.5 * (eint_hi - eint_lo) * chebyshev_points(n_eint)

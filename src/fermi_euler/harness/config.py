@@ -69,7 +69,12 @@ class ExperimentConfig:
             if L % self.ell_ratio != 0:
                 raise ValueError(f"ell_ratio {self.ell_ratio} must divide L = {L}")
         if self.table is not None:
-            _check_table(self.table)
+            # a table section gives its rectangle inline; table files are retired
+            problems = [f"no {k!r}" for k in ("rho_range", "eint_range") if k not in self.table]
+            if "path" in self.table:
+                problems.append("a 'path', but table files are retired: give the ranges inline")
+            if problems:
+                raise ValueError("table section has " + " and ".join(problems))
 
     @property
     def report_times(self) -> list:
@@ -101,27 +106,13 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-def _check_table(section: dict):
-    """A table section gives its rectangle inline: rho_range and eint_range,
-    resolution optional.  Table files are retired, so a "path" is refused."""
-    problems = [f"no {key!r}" for key in ("rho_range", "eint_range") if key not in section]
-    if "path" in section:
-        problems.append("a 'path', but table files are retired: a table is built from its ranges")
-    if problems:
-        raise ValueError("table section has " + " and ".join(problems))
-
-
 def eos_table(model, section: dict):
     """The closure table of a table section: its rho_range x eint_range
     rectangle at its resolution, eos.TABLE_RESOLUTION when it names none."""
     from .. import eos
 
-    return eos.tabulate(
-        model,
-        tuple(section["rho_range"]),
-        tuple(section["eint_range"]),
-        tuple(section.get("resolution", eos.TABLE_RESOLUTION)),
-    )
+    resolution = section.get("resolution", eos.TABLE_RESOLUTION)
+    return eos.tabulate(model, section["rho_range"], section["eint_range"], resolution)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

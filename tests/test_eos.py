@@ -516,7 +516,7 @@ class TestTable:
     def test_degree_cut_on_benchmark_rectangle(self, bz_table):
         # 40 x 40 points, cut where the coefficients reach round-off; every
         # further degree costs each closure call two ufuncs and more matmul
-        assert max(bz_table.degree) <= 20
+        assert max(bz_table.coef.shape[1:]) <= 21  # degree <= 20 per axis
 
     def test_partials_match_direct_closure(self, bz_table, rng):
         # the chebder series against the direct closure's exact response,
