@@ -39,6 +39,7 @@ mu = lam0/lam4; spinless (no degeneracy factor); hbar = m = 1.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -194,27 +195,55 @@ def _bz_basis(d: int, n: int):
     return basis, basis[:, i] * basis[:, j], (i, j)
 
 
-def _log1pexp(g: np.ndarray) -> np.ndarray:
-    """log(1 + e^g) = max(g, 0) + log1p(e^-|g|), with one temporary."""
-    out = np.abs(g)
+def _log1pexp(g: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """log(1 + e^g) = max(g, 0) + log1p(e^-|g|) into out, with tmp as work."""
+    np.abs(g, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(g, 0.0)
+    out += np.maximum(g, 0.0, out=tmp)
     return out
 
 
-def _fermi(g: np.ndarray):
-    """(f, 1 - f) for the Fermi function f = 1/(1 + e^-g), with 1 - f as
-    e^-g f so that both keep full relative precision; g is cut at -700,
-    where f < 1e-304 already."""
-    hole = np.maximum(g, -700.0)
+def _fermi(g: np.ndarray, f: np.ndarray, hole: np.ndarray):
+    """(f, 1 - f) into f and hole for the Fermi function f = 1/(1 + e^-g),
+    with 1 - f as e^-g f so that both keep full relative precision; g is cut
+    at -700, where f < 1e-304 already."""
+    np.maximum(g, -700.0, out=hole)
     np.negative(hole, out=hole)
     np.exp(hole, out=hole)
-    f = hole + 1.0
+    np.add(hole, 1.0, out=f)
     np.reciprocal(f, out=f)
     hole *= f
     return f, hole
+
+
+# Work arrays of the kernel's blocks and of `EosTable.evaluate`: one flat
+# buffer per thread, grown to the largest request and reused by every later
+# call.  Arrays of a block's size sit above glibc's mmap threshold, so
+# allocating them afresh would map and zero-fill new pages on every block.
+# The buffer starts on a 64-byte cache line: glibc's mmap'd chunks start 16
+# bytes past one, where every 64-byte vector load straddles two lines, and
+# there the table's recurrence ran 20% slower on an AVX-512 Xeon.
+_SCRATCH = threading.local()
+
+
+def _scratch(count: int, shape: tuple) -> tuple:
+    """count C-contiguous float arrays of `shape` in this thread's scratch
+    buffer, their contents undefined, valid until the thread's next call.
+    The arrays of the last call are handed out again when the next asks for
+    the same, so a run of one-cell evaluations slices nothing."""
+    work = getattr(_SCRATCH, "work", ())
+    if len(work) == count and work[0].shape == shape:
+        return work
+    size = count * math.prod(shape)
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        raw = np.empty(size + 8)
+        skip = -raw.ctypes.data % 64 // 8
+        buf = _SCRATCH.buf = raw[skip:skip + size]
+    work = _SCRATCH.work = tuple(buf[:size].reshape((count,) + shape))
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +272,18 @@ _GL_W = 0.5 * _GL_W
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
-def _bz_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
-    """Brillouin-zone rectangle rule for one block of cells."""
+def _bz_block(model: EosModel, lam: np.ndarray, psi, grad, hess, work):
+    """Brillouin-zone rectangle rule for one block of cells, with three
+    (cells, nodes) work arrays for its temporaries."""
     basis, pairs, (i, j) = _bz_basis(model.d, model.bz_nodes)
     w = 1.0 / basis.shape[0]
-    g = lam @ basis.T
+    g, a, b = work
+    np.matmul(lam, basis.T, out=g)
     if psi is not None:
-        psi[:] = np.sum(_log1pexp(g), axis=1) * w
+        psi[:] = np.sum(_log1pexp(g, a, b), axis=1) * w
     if grad is None and hess is None:
         return
-    f, f_hole = _fermi(g)
+    f, f_hole = _fermi(g, a, b)
     if grad is not None:
         grad[:] = f @ basis * w
     if hess is None:
@@ -263,8 +294,9 @@ def _bz_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
     hess[:, j, i] = upper
 
 
-def _unbounded_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
-    """Rest-frame moments on the whole momentum space for one block of cells.
+def _unbounded_block(model: EosModel, lam: np.ndarray, psi, grad, hess, work):
+    """Rest-frame moments on the whole momentum space for one block of cells,
+    with six (cells, nodes) work arrays for its temporaries.
 
     Completing the square, psi depends on (lam0, lam_mom) only through
     z = lam0 + |lam_mom|^2/(2 lam4), and with s = lam4 |p|^2/2 every moment
@@ -274,6 +306,7 @@ def _unbounded_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
     smooth) on three panels, the middle one ending at the Fermi edge
     u = sqrt(z)."""
     d = model.d
+    u, weight, s, g, a, b = work
     lam0, m, lam4 = lam[:, 0], lam[:, 1:-1], lam[:, -1]
     msq = np.sum(m * m, axis=1)
     z = lam0 + 0.5 * msq / lam4
@@ -281,25 +314,30 @@ def _unbounded_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
     inner = np.sqrt(np.maximum(z - _TAIL, 0.5 * zp))[:, None]
     edge = np.sqrt(zp)[:, None]
     ends = [0.0, inner, edge, np.sqrt(zp + _TAIL)[:, None]]
-    u = np.concatenate([lo + (hi - lo) * _GL_X for lo, hi in zip(ends, ends[1:])], axis=1)
-    weight = np.concatenate([(hi - lo) * _GL_W for lo, hi in zip(ends, ends[1:])], axis=1)
-    s = u * u
-    g = z[:, None] - s
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        panel = slice(k * _GL_NODES, (k + 1) * _GL_NODES)
+        np.multiply(hi - lo, _GL_X, out=u[:, panel])
+        u[:, panel] += lo
+        np.multiply(hi - lo, _GL_W, out=weight[:, panel])
+    np.multiply(u, u, out=s)
+    np.subtract(z[:, None], s, out=g)
     # 2 u^(d-1) du: the a = d/2 - 1 measure; each further s raises k by one
-    weight *= 2.0 * u ** (d - 1)
+    np.power(u, d - 1, out=a)
+    a *= 2.0
+    weight *= a
     # C(d, k, lam4) = (2 pi)^-d S_{d-1} 2^(d/2 - 1) lam4^-(d/2 + k)
     c0 = _SPHERE_AREA[d] * 2.0 ** (0.5 * d - 1.0) / (2.0 * np.pi) ** d * lam4 ** (-0.5 * d)
     if psi is not None:
-        psi[:] = c0 * np.sum(weight * _log1pexp(g), axis=1)
+        psi[:] = c0 * np.sum(np.multiply(weight, _log1pexp(g, a, b), out=a), axis=1)
     if grad is None and hess is None:
         return
-    f, f_hole = _fermi(g)
-    wf = weight * f
+    f, f_hole = _fermi(g, a, b)
+    wf = np.multiply(weight, f, out=u)
     rho = c0 * np.sum(wf, axis=1)
     alpha = m / lam4[:, None]
     if grad is not None:
         # boost: mom = alpha rho, e = e_rest + |alpha|^2 rho / 2
-        e_rest = c0 / lam4 * np.sum(wf * s, axis=1)
+        e_rest = c0 / lam4 * np.sum(np.multiply(wf, s, out=g), axis=1)
         grad[:, 0] = rho
         grad[:, 1:-1] = alpha * rho[:, None]
         grad[:, -1] = -(e_rest + 0.5 * np.sum(alpha * alpha, axis=1) * rho)
@@ -309,7 +347,7 @@ def _unbounded_block(model: EosModel, lam: np.ndarray, psi, grad, hess):
     F0 = c0 * np.sum(wf, axis=1)
     wf *= s
     F1 = c0 / lam4 * np.sum(wf, axis=1)
-    F2 = c0 / lam4**2 * np.sum(wf * s, axis=1)
+    F2 = c0 / lam4**2 * np.sum(np.multiply(wf, s, out=g), axis=1)
     # Psi(z, lam4): Psi_zz = F0, Psi_z4 = -F1, Psi_44 = F2; chain rule through
     # dz/dm = m/lam4 = alpha, dz/dlam4 = -|m|^2/(2 lam4^2)
     a_4 = -0.5 * msq / lam4**2
@@ -332,22 +370,27 @@ def _evaluate(model: EosModel, lam: np.ndarray, want_psi: bool, want_grad: bool,
     """psi (N,), signed densities (N, d+2) and Hessians (N, d+2, d+2) at the
     multipliers lam (N, d+2), each None unless asked for (and not computed:
     each is a further pass over the quadrature points); cells run in blocks
-    of about _BLOCK_ELEMENTS quadrature points."""
+    of about _BLOCK_ELEMENTS quadrature points, whose temporaries live in the
+    thread's scratch buffer."""
     n_cells, n = lam.shape
     psi = np.empty(n_cells) if want_psi else None
     grad = np.empty((n_cells, n)) if want_grad else None
     hess = np.empty((n_cells, n, n)) if want_hess else None
     if model.domain == BRILLOUIN:
-        block, nodes = _bz_block, model.bz_nodes**model.d
+        block, nodes, n_work = _bz_block, model.bz_nodes**model.d, 3
     else:
-        block, nodes = _unbounded_block, 3 * _GL_NODES
+        block, nodes, n_work = _unbounded_block, 3 * _GL_NODES, 6
     size = max(1, _BLOCK_ELEMENTS // nodes)
+    rows = min(size, n_cells)
+    work = _scratch(n_work, (rows, nodes))
     for lo in range(0, n_cells, size):
         cut = slice(lo, lo + size)
-        block(model, lam[cut],
+        cells = lam[cut]
+        block(model, cells,
               None if psi is None else psi[cut],
               None if grad is None else grad[cut],
-              None if hess is None else hess[cut])
+              None if hess is None else hess[cut],
+              work if len(cells) == rows else [w[:len(cells)] for w in work])
     return psi, grad, hess
 
 
@@ -670,8 +713,11 @@ class EosTable:
         coefficients."""
         rho, eint = self._guard(rho, eint)
         n_rho, n_eint = self.coef.shape[1:]
-        # t[m] = (T_m(x), T_m(y)) at every point
-        t = np.empty((max(n_rho, n_eint), 2, rho.size))
+        # t[m] = (T_m(x), T_m(y)) at every point, then the product below, in
+        # the thread's scratch buffer
+        n_t, n_pts = max(n_rho, n_eint), rho.size
+        work = _scratch(1, (2 * n_t + 3 * n_rho, n_pts))[0]
+        t = work[:2 * n_t].reshape(n_t, 2, n_pts)
         t[0] = 1.0
         for arg, vals, (lo, hi) in zip(t[1], (rho, eint), (self.rho_range, self.eint_range)):
             np.multiply(vals.ravel() - 0.5 * (lo + hi), 2.0 / (hi - lo), out=arg)
@@ -680,7 +726,9 @@ class EosTable:
             np.multiply(x, t[m - 1], out=t[m])
             t[m] -= t[m - 2]
         # sum_j coef[k, i, j] T_j(y), then its products with T_i(x) summed over i
-        out = (self.coef.reshape(-1, n_eint) @ t[:n_eint, 1]).reshape(3, n_rho, -1)
+        out = work[2 * n_t:]
+        np.matmul(self.coef.reshape(-1, n_eint), t[:n_eint, 1], out=out)
+        out = out.reshape(3, n_rho, n_pts)
         out *= t[:n_rho, 0]
         return tuple(out.sum(axis=1).reshape((3,) + rho.shape))
 

@@ -1,5 +1,12 @@
 """Free-Fermi-gas thermodynamics: pressure, dual map, inversion, closures."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -357,6 +364,232 @@ class TestKernel:
         lam[117, 0] = np.inf
         with pytest.raises(NonFinite, match="cell 117"):
             moments(model, lam)
+
+
+# The kernel's blocks as they were written before their temporaries moved into
+# per-thread scratch arrays, each temporary a fresh array: the reference that
+# the scratch version must match bit for bit.
+
+
+def ref_log1pexp(g):
+    out = np.abs(g)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(g, 0.0)
+    return out
+
+
+def ref_fermi(g):
+    hole = np.maximum(g, -700.0)
+    np.negative(hole, out=hole)
+    np.exp(hole, out=hole)
+    f = hole + 1.0
+    np.reciprocal(f, out=f)
+    hole *= f
+    return f, hole
+
+
+def ref_bz_block(model, lam, psi, grad, hess):
+    basis, pairs, (i, j) = eos._bz_basis(model.d, model.bz_nodes)
+    w = 1.0 / basis.shape[0]
+    g = lam @ basis.T
+    if psi is not None:
+        psi[:] = np.sum(ref_log1pexp(g), axis=1) * w
+    if grad is None and hess is None:
+        return
+    f, f_hole = ref_fermi(g)
+    if grad is not None:
+        grad[:] = f @ basis * w
+    if hess is None:
+        return
+    f_hole *= f
+    upper = f_hole @ pairs * w
+    hess[:, i, j] = upper
+    hess[:, j, i] = upper
+
+
+def ref_unbounded_block(model, lam, psi, grad, hess):
+    d = model.d
+    lam0, m, lam4 = lam[:, 0], lam[:, 1:-1], lam[:, -1]
+    msq = np.sum(m * m, axis=1)
+    z = lam0 + 0.5 * msq / lam4
+    zp = np.maximum(z, 0.0)
+    inner = np.sqrt(np.maximum(z - eos._TAIL, 0.5 * zp))[:, None]
+    edge = np.sqrt(zp)[:, None]
+    ends = [0.0, inner, edge, np.sqrt(zp + eos._TAIL)[:, None]]
+    u = np.concatenate([lo + (hi - lo) * eos._GL_X for lo, hi in zip(ends, ends[1:])], axis=1)
+    weight = np.concatenate([(hi - lo) * eos._GL_W for lo, hi in zip(ends, ends[1:])], axis=1)
+    s = u * u
+    g = z[:, None] - s
+    weight *= 2.0 * u ** (d - 1)
+    c0 = eos._SPHERE_AREA[d] * 2.0 ** (0.5 * d - 1.0) / (2.0 * np.pi) ** d * lam4 ** (-0.5 * d)
+    if psi is not None:
+        psi[:] = c0 * np.sum(weight * ref_log1pexp(g), axis=1)
+    if grad is None and hess is None:
+        return
+    f, f_hole = ref_fermi(g)
+    wf = weight * f
+    rho = c0 * np.sum(wf, axis=1)
+    alpha = m / lam4[:, None]
+    if grad is not None:
+        e_rest = c0 / lam4 * np.sum(wf * s, axis=1)
+        grad[:, 0] = rho
+        grad[:, 1:-1] = alpha * rho[:, None]
+        grad[:, -1] = -(e_rest + 0.5 * np.sum(alpha * alpha, axis=1) * rho)
+    if hess is None:
+        return
+    wf *= f_hole
+    F0 = c0 * np.sum(wf, axis=1)
+    wf *= s
+    F1 = c0 / lam4 * np.sum(wf, axis=1)
+    F2 = c0 / lam4**2 * np.sum(wf * s, axis=1)
+    a_4 = -0.5 * msq / lam4**2
+    h04 = F0 * a_4 - F1
+    hess[:, 0, 0] = F0
+    hess[:, 0, 1:-1] = F0[:, None] * alpha
+    hess[:, 0, -1] = h04
+    hess[:, 1:-1, 1:-1] = F0[:, None, None] * alpha[:, :, None] * alpha[:, None, :] + (
+        rho / lam4
+    )[:, None, None] * np.eye(d)
+    hess[:, 1:-1, -1] = (h04 - rho / lam4)[:, None] * alpha
+    hess[:, -1, -1] = h04 * a_4 - F1 * a_4 + F2 + rho * msq / lam4**3
+    hess[:, 1:-1, 0] = hess[:, 0, 1:-1]
+    hess[:, -1, 0] = h04
+    hess[:, -1, 1:-1] = hess[:, 1:-1, -1]
+
+
+def block_rows(model):
+    """Cells per block of the kernel."""
+    nodes = model.bz_nodes**model.d if model.domain == BRILLOUIN else 3 * eos._GL_NODES
+    return max(1, eos._BLOCK_ELEMENTS // nodes)
+
+
+def ref_moments(model, lam, want):
+    """(psi, grad, hess) by the reference blocks, over the kernel's blocks."""
+    n_cells, n = lam.shape
+    psi = np.empty(n_cells) if want[0] else None
+    grad = np.empty((n_cells, n)) if want[1] else None
+    hess = np.empty((n_cells, n, n)) if want[2] else None
+    block = ref_bz_block if model.domain == BRILLOUIN else ref_unbounded_block
+    size = block_rows(model)
+    for lo in range(0, n_cells, size):
+        cut = slice(lo, lo + size)
+        block(model, lam[cut], *(None if v is None else v[cut] for v in (psi, grad, hess)))
+    return psi, grad, hess
+
+
+def ref_table_evaluate(table, rho, eint):
+    """`EosTable.evaluate` with its two work arrays allocated per call."""
+    rho, eint = table._guard(rho, eint)
+    n_rho, n_eint = table.coef.shape[1:]
+    t = np.empty((max(n_rho, n_eint), 2, rho.size))
+    t[0] = 1.0
+    for arg, vals, (lo, hi) in zip(t[1], (rho, eint), (table.rho_range, table.eint_range)):
+        np.multiply(vals.ravel() - 0.5 * (lo + hi), 2.0 / (hi - lo), out=arg)
+    x = 2.0 * t[1]
+    for m in range(2, t.shape[0]):
+        np.multiply(x, t[m - 1], out=t[m])
+        t[m] -= t[m - 2]
+    out = (table.coef.reshape(-1, n_eint) @ t[:n_eint, 1]).reshape(3, n_rho, -1)
+    out *= t[:n_rho, 0]
+    return tuple(out.sum(axis=1).reshape((3,) + rho.shape))
+
+
+
+
+class TestScratch:
+    """The kernel's block temporaries live in per-thread scratch arrays."""
+
+    @pytest.mark.parametrize("want", [(True, True, True), (True, False, False),
+                                      (False, True, False), (False, False, True)])
+    @pytest.mark.parametrize("model", [
+        EosModel(d=1, domain=UNBOUNDED), EosModel(d=2, domain=UNBOUNDED),
+        EosModel(d=3, domain=UNBOUNDED), EosModel(d=1, domain=BRILLOUIN, bz_nodes=64),
+        EosModel(d=1, domain=BRILLOUIN, bz_nodes=4096), EosModel(d=2, domain=BRILLOUIN, bz_nodes=64),
+    ], ids=lambda m: f"{m.domain}-d{m.d}" + (f"-{m.bz_nodes}" if m.domain == BRILLOUIN else ""))
+    def test_bitwise_equal_to_allocating_blocks(self, model, want, rng):
+        # one cell, one full block, three full blocks, and two and a bit
+        size = block_rows(model)
+        for n_cells in (1, size, 3 * size, 2 * size + size // 3 + 1):
+            lam = random_multipliers(rng, model.d, n_cells)
+            got = moments(model, lam, *want)
+            ref = ref_moments(model, lam, want)
+            for g, r in zip(got, ref):
+                assert (g is None and r is None) or np.array_equal(g, r)
+
+    def test_table_bitwise_equal_to_allocating_evaluate(self, bz_table, rng):
+        for n in (1, 7, 1024):
+            rho = rng.uniform(*bz_table.rho_range, n)
+            eint = rng.uniform(*bz_table.eint_range, n)
+            for args in ((rho, eint), (rho.reshape(-1, 1), eint.reshape(-1, 1)), (rho[0], eint[0])):
+                got, ref = bz_table.evaluate(*args), ref_table_evaluate(bz_table, *args)
+                assert all(np.array_equal(g, r) and g.shape == r.shape for g, r in zip(got, ref))
+
+    def test_threads_match_serial(self, rng):
+        # four threads on two cores, each with its own model and cells, the
+        # interpreter switching threads every microsecond
+        models = [EosModel(d=1, domain=UNBOUNDED), EosModel(d=1, domain=BRILLOUIN, bz_nodes=4096)]
+        jobs = []
+        for k in range(4):
+            model = models[k % 2]
+            lam = random_multipliers(rng, 1, 250 if model.domain == UNBOUNDED else 21)
+            jobs.append((model, lam, densities_of(model, lam)))
+        serial = [(moments(m, lam), invert(m, q)) for m, lam, q in jobs]
+        results = [[] for _ in jobs]
+
+        def work(k):
+            model, lam, q = jobs[k]
+            for _ in range(50):
+                results[k].append((moments(model, lam), invert(model, q)))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, ((psi, grad, hess), lam) in enumerate(serial):
+            assert len(results[k]) == 50
+            for (p, g, h), inv in results[k]:
+                assert np.array_equal(p, psi) and np.array_equal(g, grad)
+                assert np.array_equal(h, hess) and np.array_equal(inv, lam)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are read from getrusage on Linux")
+    def test_rate_scan_does_not_page_fault(self):
+        # a fresh process, as the rate scan runs: ldp.rates on a 25 x 25
+        # unbounded grid, three calls to warm up, then the minor page faults
+        # of ten more; allocating the kernel's block temporaries per block took
+        # 6000-7600 faults per call
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from fermi_euler import eos, ldp
+            model = eos.EosModel(d=1, domain=eos.UNBOUNDED)
+            lam = eos.MultiplierVector.from_physical(1.0, 0.0, 0.1)
+            centre = eos.dual_q(model, lam)
+            fractions = np.linspace(0.75, 1.25, 25)
+            q = np.zeros((25, 25, 3))
+            q[..., 0] = fractions[:, None] * centre.rho
+            q[..., -1] = fractions[None, :] * centre.e
+            for _ in range(3):
+                ldp.rates(model, q, lam)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(10):
+                ldp.rates(model, q, lam)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+        """)
+        src = str(Path(eos.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        assert float(out.stdout.split()[-1]) < 500
 
 
 class TestInversion:
