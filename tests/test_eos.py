@@ -366,9 +366,8 @@ class TestKernel:
             moments(model, lam)
 
 
-# The kernel's blocks as they were written before their temporaries moved into
-# per-thread scratch arrays, each temporary a fresh array: the reference that
-# the scratch version must match bit for bit.
+# The kernel's blocks with every temporary a fresh array: the reference that
+# the blocks on per-thread scratch arrays must match bit for bit.
 
 
 def ref_log1pexp(g):
