@@ -30,7 +30,8 @@ pressure closure P(rho, e_int), the virial residual, and the tabulated
 closure for the Euler solver also live here: a tensor Chebyshev
 interpolant of P on a (rho, e_int) rectangle, built by a DCT-II of P at
 Chebyshev points (`chebyshev_coefficients`, shared with the Fermi-operator
-expansion in micro), with its derivative series for the partials.
+expansion in micro), with its derivative series for the partials.  One
+`PressureClosure` call gives a state's P, dP/drho and dP/de_int together.
 
 Conventions: physical parameters are beta = lam4, alpha_j = lam_j/lam4,
 mu = lam0/lam4; spinless (no degeneracy factor); hbar = m = 1.
@@ -680,9 +681,8 @@ class EosTable:
     coef[k, i, j] multiplies T_i(x) T_j(y) in P (k = 0), dP/drho (k = 1)
     and dP/de_int (k = 2), with x and y the affine maps of rho_range and
     eint_range onto [-1, 1]; the partials are P's `chebder` series, so one
-    pass gives all three.  evaluate(), pressure() and partials() raise
-    OutOfDomain outside the stored ranges and NonFinite on non-finite
-    input, naming the index.
+    pass gives all three.  evaluate() raises OutOfDomain outside the stored
+    ranges and NonFinite on non-finite input, naming the index.
     """
 
     d: int
@@ -731,13 +731,6 @@ class EosTable:
         out = out.reshape(3, n_rho, n_pts)
         out *= t[:n_rho, 0]
         return tuple(out.sum(axis=1).reshape((3,) + rho.shape))
-
-    def pressure(self, rho, eint):
-        out = self.evaluate(rho, eint)[0]
-        return float(out) if out.ndim == 0 else out
-
-    def partials(self, rho, eint):
-        return self.evaluate(rho, eint)[1:]
 
 
 def _extrapolate(nodes: np.ndarray, lam: np.ndarray, x: float) -> MultiplierVector:
@@ -821,45 +814,27 @@ def tabulate(
 
 
 class PressureClosure:
-    """Callable P(rho, e_int) for the Euler solver, with `partials` giving
-    (dP/drho, dP/de_int) of the same surface: table-backed by default (the
-    Chebyshev interpolant and its derivative series), direct Newton
-    evaluation when validating (the rest-frame inversion and its exact
-    response).
+    """The Euler solver's closure: closure(rho, e_int) is the triple
+    (P, dP/drho, dP/de_int), floats for scalar input.  Table-backed by
+    default (the Chebyshev interpolant and its derivative series, one
+    `EosTable.evaluate`), direct Newton evaluation when validating (the
+    rest-frame inversion and its exact response).
 
-    Both paths evaluate P and its partials together and remember the last
-    evaluation, so the partials at the points of a pressure just computed
-    cost nothing more; the direct path inverts all points in one batch and
-    keeps their multipliers to start the next call.  Use one instance per
-    thread."""
+    The table path holds no state.  The direct path inverts all points in
+    one batch and keeps their multipliers to start the next call: use one
+    direct instance per thread."""
 
     def __init__(self, model: EosModel, table: EosTable | None = None):
         self.model = model
         self.table = table
         self._guess = None
-        self._last = None  # ((rho, e_int), (P, dP/drho, dP/de_int)) of the last evaluation
 
     def __call__(self, rho, eint):
-        p = self._evaluate(rho, eint)[0]
-        return float(p) if np.ndim(p) == 0 else p.copy()
-
-    def partials(self, rho, eint):
-        """(dP/drho, dP/de_int) at (rho, e_int)."""
-        _, dp_drho, dp_deint = self._evaluate(rho, eint)
-        if np.ndim(dp_drho) == 0:
-            return float(dp_drho), float(dp_deint)
-        return dp_drho.copy(), dp_deint.copy()
-
-    def _evaluate(self, rho, eint):
-        points = (np.array(rho, dtype=float), np.array(eint, dtype=float))
-        if self._last is not None and all(map(np.array_equal, points, self._last[0])):
-            return self._last[1]
         if self.table is not None:
-            values = self.table.evaluate(*points)
+            values = self.table.evaluate(rho, eint)
         else:
-            values = self._direct(*points)
-        self._last = (points, values)
-        return values
+            values = self._direct(np.asarray(rho, dtype=float), np.asarray(eint, dtype=float))
+        return tuple(map(float, values)) if np.ndim(values[0]) == 0 else values
 
     def _direct(self, rho: np.ndarray, eint: np.ndarray):
         """Rest-frame multipliers of every point by one `invert`, started

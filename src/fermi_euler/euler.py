@@ -9,11 +9,12 @@ with P = P(rho, e_int) supplied by the free-Fermi-gas closure (the
 Chebyshev table when the config has a table section, direct Newton
 evaluation without one).  First-order Rusanov (local Lax-Friedrichs) interface fluxes
 with the wave-speed bound |u| + c taken from the closed-form characteristic speeds u, u +- c of this flux,
-where c^2 = dP/drho + (e_int + P)/rho * dP/de_int comes from the closure's
-own partials; two-stage Heun time update: the simplest provably conservative
-pairing, adequate because all claims concern smooth solutions.  Each stage
-evaluates the closure once per state, and `run` chooses dt from the speeds
-that the first stage then reuses.
+where c^2 = dP/drho + (e_int + P)/rho * dP/de_int comes from the partials
+that the closure returns with P; two-stage Heun time update: the simplest
+provably conservative pairing, adequate because all claims concern smooth
+solutions.  Each stage calls the closure once per state, for P and both
+partials, and `run` chooses dt from the speeds that the first stage then
+reuses.
 
 The solver guards the one-phase region every stage (finite densities,
 rho > 0 and internal energy above the zero-temperature floor) and halts
@@ -96,7 +97,7 @@ class ConservedField:
 class EulerSolution:
     """Solver state: conserved field, time, CFL number, and the EOS handle.
 
-    The closure pressure and the wave-speed bound on q are evaluated once,
+    The closure values and the wave-speed bound on q are evaluated once,
     on first use, and shared by everything that needs them for this state."""
 
     grid: MacroGrid
@@ -106,8 +107,9 @@ class EulerSolution:
     cfl: float = DEFAULT_CFL
 
     @cached_property
-    def pressure(self) -> np.ndarray:
-        """Closure pressure on q, behind the one-phase guard."""
+    def closure_values(self) -> tuple:
+        """(P, dP/drho, dP/de_int) on q by one closure call, behind the
+        one-phase guard."""
         _check_one_phase(self.q, self.closure.model)
         return self.closure(self.q.rho, self.q.e_internal)
 
@@ -115,7 +117,7 @@ class EulerSolution:
     def wave_speeds(self) -> np.ndarray:
         """Cellwise wave-speed bound on q: sets dt in `run` and the Rusanov
         dissipation of the first Heun stage in `step`."""
-        return wave_speed_bound(self.q, self.closure, self.pressure)
+        return wave_speed_bound(self.q, *self.closure_values)
 
 
 @dataclass(frozen=True)
@@ -157,23 +159,19 @@ def _check_one_phase(q: ConservedField, model: eos.EosModel):
 
 
 def wave_speed_bound(
-    q: ConservedField, closure: "eos.PressureClosure", pressure: np.ndarray | None = None
+    q: ConservedField, pressure: np.ndarray, dp_drho: np.ndarray, dp_deint: np.ndarray
 ) -> np.ndarray:
     """Cellwise bound |u| + c on the characteristic speeds u and u +- c of
-    the flux (A0, A1, A4), with the closure's squared sound speed
+    the flux (A0, A1, A4), with the squared sound speed
 
         c^2 = dP/drho + (e_int + P) / rho * dP/de_int
 
-    from `closure.partials` (the table's derivative series on the table
-    path, so these are the speeds of the pressure that enters the flux).  `pressure`
-    is the closure's P on q when the caller has it already.
+    from the closure's values on q (on the table path its derivative
+    series, so these are the speeds of the pressure that enters the flux).
 
     Uses |mom|, so the bound is bitwise even in the momentum sign and the
     scheme stays bitwise equivariant under mirror reflection."""
     eint = q.e_internal
-    if pressure is None:
-        pressure = closure(q.rho, eint)
-    dp_drho, dp_deint = closure.partials(q.rho, eint)
     c2 = dp_drho + (eint + pressure) / q.rho * dp_deint
     bad = ~(np.isfinite(c2) & (c2 > 0.0))
     if np.any(bad):
@@ -187,7 +185,7 @@ def wave_speed_bound(
 def rhs(sol: EulerSolution) -> np.ndarray:
     """The scheme's semi-discrete right side dq/dT, shape (3, n_cells): the
     conservative Rusanov update term -(F_{i+1/2} - F_{i-1/2})/dx on sol.q."""
-    flux = flux_A(sol.q, sol.pressure)
+    flux = flux_A(sol.q, sol.closure_values[0])
     speeds = sol.wave_speeds
     s_iface = np.maximum(speeds, np.roll(speeds, -1))
     q_arr = sol.q.stack()

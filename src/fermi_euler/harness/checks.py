@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .. import entropy, eos, euler, ldp, micro
 from ..micro import Lattice, MultiplierField
-from .config import DEFAULT_PROFILE, ExperimentConfig, write_manifest
+from .config import DEFAULT_PROFILE, ExperimentConfig, eos_table, write_manifest
 from .experiments import lam_sites_from_profile, run_entropy_track, run_hydro_compare
 
 M1_UNBOUNDED = eos.EosModel(d=1, domain=eos.UNBOUNDED)
@@ -498,15 +498,15 @@ def check_micro_banded(rng, tol):
 # ---------------------------------------------------------------------------
 
 
+# the closure table of the Euler checks and of check_hydro_trend's runs
+_TABLE_SECTION = {"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065], "resolution": [40, 40]}
+
+
 @lru_cache(maxsize=1)
 def _euler_fixture():
     model = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=4096)
-    closure = eos.PressureClosure(
-        model, eos.tabulate(model, (0.15, 0.21), (0.035, 0.065), resolution=(40, 40))
-    )
-    profile = dict(lam0=0.25, lam0_amp=0.08, lam1_amp=0.1, lam1_phase=-np.pi / 2,
-                   lam4=2.5, lam4_amp=0.25, lam4_phase=0.7)
-    return model, closure, profile
+    closure = eos.PressureClosure(model, eos_table(model, _TABLE_SECTION))
+    return model, closure, DEFAULT_PROFILE["params"]
 
 
 def check_euler_conservation(rng, tol):
@@ -565,8 +565,7 @@ def check_hydro_trend(rng, tol, config: ExperimentConfig | None = None):
         times=[0.0, 0.02],
         n_cells=256,
         profile=base.profile,
-        table={"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065],
-               "resolution": [40, 40]},
+        table=_TABLE_SECTION,
         seed=base.seed,
     )
     report = run_hydro_compare(cfg)

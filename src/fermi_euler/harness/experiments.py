@@ -328,7 +328,7 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
                 gamma = omega0
                 s_tot, s_site = micro.rel_entropy_gaussian(gamma, omega0)
                 production = micro.entropy_production(gamma, MultiplierField(lat, *lam),
-                                                      lam_rate)
+                                                      lam_rate, reference=omega0)
                 production_fd = float("nan")
             else:
                 # the reference at T > 0 is the local Gibbs state of the Euler
@@ -375,7 +375,7 @@ def run_euler(config: ExperimentConfig, out_dir=None) -> Path:
     for t, q in zip(traj.times, traj.snapshots):
         if t not in times:
             continue
-        p = closure(q.rho, q.e_internal)
+        p = closure(q.rho, q.e_internal)[0]
         rows = [
             [float(v) for v in tup]
             for tup in zip(grid.centers, q.rho, q.mom, q.e, p)

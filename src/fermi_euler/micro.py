@@ -809,7 +809,6 @@ class MomentumCutoff:
     M: float
     kernel: np.ndarray          # phi_M on site offsets, sums to exactly 1
     transfer: np.ndarray        # phi_hat at grid momenta (FFT order)
-    renorm: float               # applied to make sum(kernel) = 1
     operator_scale: float       # applied to transfer so the filter is a contraction
 
     def smear(self, state: GaussianState) -> GaussianState:
@@ -844,8 +843,7 @@ def momentum_cutoff(lattice: Lattice, M: float) -> MomentumCutoff:
     hhat = _smooth_step((2.0 * M - np.abs(p)) / M)
     h = np.fft.ifft(hhat).real
     phi = conv * h
-    total = phi.sum()
-    phi = phi / total
+    phi /= phi.sum()
     transfer = np.fft.fft(phi).real
     op_scale = max(1.0, float(np.max(np.abs(transfer))))
     return MomentumCutoff(
@@ -853,7 +851,6 @@ def momentum_cutoff(lattice: Lattice, M: float) -> MomentumCutoff:
         M=M,
         kernel=phi,
         transfer=transfer,
-        renorm=float(1.0 / total),
         operator_scale=op_scale,
     )
 
@@ -1008,10 +1005,9 @@ def entropy_production(gamma: GaussianState, lam_field: MultiplierField, lam_rat
 # serialization
 # ---------------------------------------------------------------------------
 
-_SNAPSHOT_MAGIC = b"FEGSNAP1"
-_CONVENTION = b"C(x,y)=<a+_y a_x>; p in (-pi,pi]"
 _BAND_MAGIC = b"FEGSNAP2"
-_BAND_CONVENTION = b"D[o,k]=Chat[k,(k+o)%L]; Chat=W C W+, W[k,x]=e^(-2pi i k x/L)/sqrt(L); " + _CONVENTION
+_BAND_CONVENTION = (b"D[o,k]=Chat[k,(k+o)%L]; Chat=W C W+, W[k,x]=e^(-2pi i k x/L)/sqrt(L); "
+                    b"C(x,y)=<a+_y a_x>; p in (-pi,pi]")
 _BAND_HEAD = struct.Struct("<Qdd")  # diagonal count, s_vn (NaN when unknown), cut bound
 
 
@@ -1021,7 +1017,7 @@ def save_state(state: GaussianState, path, t: float = 0.0) -> None:
     count (u64), `s_vn` (f64, NaN when unknown) and `cut_bound` (f64), the
     offsets (i64 each) and their wrapped diagonals row by row (complex128).
     A band of d diagonals takes 16 d L bytes, not the L(L+1)/2 dense
-    entries of FEGSNAP1."""
+    entries of the retired FEGSNAP1."""
     s_vn = np.nan if state.s_vn is None else state.s_vn
     with open(path, "wb") as fh:
         fh.write(_BAND_MAGIC)
@@ -1034,31 +1030,20 @@ def save_state(state: GaussianState, path, t: float = 0.0) -> None:
 
 
 def load_state(path) -> tuple[GaussianState, float]:
-    """(state, time) of a FEGSNAP2 snapshot, or of a FEGSNAP1 one (the
-    packed upper triangle of position-space C, rebuilt by `from_position`)."""
+    """(state, time) of a FEGSNAP2 snapshot."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_SNAPSHOT_MAGIC))
-        if magic not in (_SNAPSHOT_MAGIC, _BAND_MAGIC):
+        magic = fh.read(len(_BAND_MAGIC))
+        if magic == b"FEGSNAP1":
+            raise ValueError(f"{path}: dense FEGSNAP1 snapshots are retired")
+        if magic != _BAND_MAGIC:
             raise ValueError(f"{path}: not a state snapshot")
         L, t = struct.unpack("<Qd", fh.read(16))
         (taglen,) = struct.unpack("<H", fh.read(2))
         tag = fh.read(taglen)
-        if tag != (_CONVENTION if magic == _SNAPSHOT_MAGIC else _BAND_CONVENTION):
+        if tag != _BAND_CONVENTION:
             raise ValueError(f"{path}: unknown convention tag {tag!r}")
         body = fh.read()
-    if magic == _BAND_MAGIC:
-        return _band_state(path, Lattice(int(L)), body), float(t)
-    count = L * (L + 1) // 2
-    if len(body) != 16 * count:
-        raise ValueError(
-            f"{path}: expected {count} packed entries for L = {L}, found {len(body) / 16:g}"
-        )
-    packed = np.frombuffer(body, dtype=np.complex128)
-    c = np.zeros((L, L), dtype=complex)
-    iu = np.triu_indices(L)
-    c[iu] = packed
-    c = c + np.triu(c, 1).conj().T
-    return GaussianState.from_position(Lattice(int(L)), c), float(t)
+    return _band_state(path, Lattice(int(L)), body), float(t)
 
 
 def _band_state(path, lattice: Lattice, body: bytes) -> GaussianState:

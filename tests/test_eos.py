@@ -634,7 +634,7 @@ class TestInversion:
 
 def rest_pressure(rho, eint):
     """P(rho, e_int) of the direct closure, started cold."""
-    return PressureClosure(M1, None)(rho, eint)
+    return PressureClosure(M1, None)(rho, eint)[0]
 
 
 class TestRestPressure:
@@ -743,7 +743,7 @@ class TestTable:
             model, *rectangle_sample(tab.rho_range, tab.eint_range, rng),
             tab.rho_range, tab.eint_range,
         )
-        assert np.max(np.abs(tab.pressure(rho, eint) - exact) / exact) <= 1e-13
+        assert np.max(np.abs(tab.evaluate(rho, eint)[0] - exact) / exact) <= 1e-13
 
     def test_degree_cut_on_benchmark_rectangle(self, bz_table):
         # 40 x 40 points, cut where the coefficients reach round-off; every
@@ -755,8 +755,8 @@ class TestTable:
         # each relative to its largest value (dP/drho ~ -4e-4, dP/de_int ~ 2);
         # largest at the edges, 3.5e-8 and 1.1e-9 there
         rho, eint = rectangle_sample(bz_table.rho_range, bz_table.eint_range, rng, 100, 4)
-        got = bz_table.partials(rho, eint)
-        want = PressureClosure(BZ, None).partials(rho, eint)
+        got = bz_table.evaluate(rho, eint)[1:]
+        want = PressureClosure(BZ, None)(rho, eint)[1:]
         for g, w, tol in zip(got, want, (1e-7, 1e-8)):
             assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w))
 
@@ -764,13 +764,13 @@ class TestTable:
         rho = rng.uniform(0.19, 0.35, 100)
         eint = rng.uniform(0.09, 0.215, 100)
         direct = rest_pressure(rho, eint)
-        assert np.max(np.abs(table.pressure(rho, eint) - direct) / direct) < 1e-6
+        assert np.max(np.abs(table.evaluate(rho, eint)[0] - direct) / direct) < 1e-6
 
     def test_partials_match_fd(self, table):
         rho, eint = 0.3, 0.15
-        dpr, dpe = table.partials(rho, eint)
+        _, dpr, dpe = table.evaluate(rho, eint)
         h = 1e-5
-        fd_e = (table.pressure(rho, eint + h) - table.pressure(rho, eint - h)) / (2 * h)
+        fd_e = (table.evaluate(rho, eint + h)[0] - table.evaluate(rho, eint - h)[0]) / (2 * h)
         # the 1D virial P = 2 e_int makes dP/drho identically 0 on the
         # unbounded domain (a central difference of P in rho is rounding
         # only), so the table's slope is held to 0: 4.7e-14 here
@@ -785,10 +785,10 @@ class TestTable:
         table = tabulate(EosModel(d=1, domain=BRILLOUIN, bz_nodes=512),
                          (0.15, 0.21), (0.035, 0.065), resolution=(16, 16))
         rho, eint = 0.18, 0.05
-        dpr, dpe = table.partials(rho, eint)
+        _, dpr, dpe = table.evaluate(rho, eint)
         h = 1e-5
-        fd_r = (table.pressure(rho + h, eint) - table.pressure(rho - h, eint)) / (2 * h)
-        fd_e = (table.pressure(rho, eint + h) - table.pressure(rho, eint - h)) / (2 * h)
+        fd_r = (table.evaluate(rho + h, eint)[0] - table.evaluate(rho - h, eint)[0]) / (2 * h)
+        fd_e = (table.evaluate(rho, eint + h)[0] - table.evaluate(rho, eint - h)[0]) / (2 * h)
         assert abs(dpr) > 1e-4
         assert dpr == pytest.approx(fd_r, rel=1e-5)
         assert dpe == pytest.approx(fd_e, rel=1e-5)
@@ -801,12 +801,26 @@ class TestTable:
 
         fd_r = (rest_pressure(rho + h, eint) - rest_pressure(rho - h, eint)) / (2 * h)
         fd_e = (rest_pressure(rho, eint + h) - rest_pressure(rho, eint - h)) / (2 * h)
-        dp_drho, dp_deint = PressureClosure(M1, None).partials(rho, eint)
+        _, dp_drho, dp_deint = PressureClosure(M1, None)(rho, eint)
         # in 1D the virial identity forces P = 2 e_int, so dP/drho vanishes
         # identically and only an absolute comparison is meaningful there
         assert dp_drho == pytest.approx(fd_r, rel=1e-5, abs=1e-8)
         assert dp_deint == pytest.approx(fd_e, rel=1e-5)
         assert dp_deint == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tabled", [True, False], ids=["table", "direct"])
+    def test_closure_scalar_input_gives_three_floats(self, bz_table, tabled):
+        closure = PressureClosure(BZ, bz_table if tabled else None)
+        scalar = closure(0.18, 0.05)
+        assert isinstance(scalar, tuple) and len(scalar) == 3
+        assert all(isinstance(v, float) for v in scalar)
+        assert scalar == tuple(a[0] for a in closure(np.array([0.18]), np.array([0.05])))
+
+    def test_closure_is_one_table_evaluation(self, bz_table, rng):
+        rho, eint = rectangle_sample(bz_table.rho_range, bz_table.eint_range, rng, 50, 4)
+        got = PressureClosure(BZ, bz_table)(rho, eint)
+        assert len(got) == 3
+        assert all(map(np.array_equal, got, bz_table.evaluate(rho, eint)))
 
     def test_floor_violation_rejected(self):
         with pytest.raises(OutOfDomain):
@@ -830,31 +844,31 @@ class TestTable:
         table = tabulate(M1, (0.05, 1.0), (1.7, 50.0), resolution=(6, 6))
         rho, eint = np.array([0.05, 1.0, 0.05, 1.0]), np.array([1.7, 1.7, 50.0, 50.0])
         # the 1D virial: P = 2 e_int on the unbounded domain
-        assert np.max(np.abs(table.pressure(rho, eint) / (2.0 * eint) - 1.0)) < 1e-13
+        assert np.max(np.abs(table.evaluate(rho, eint)[0] / (2.0 * eint) - 1.0)) < 1e-13
 
     def test_non_finite_probe_rejected(self, table):
         rho = np.full(4, 0.3)
         eint = np.full(4, 0.15)
         eint[2] = np.nan
         with pytest.raises(NonFinite, match="index 2"):
-            table.pressure(rho, eint)
+            table.evaluate(rho, eint)
         with pytest.raises(NonFinite, match="index 2"):
-            table.partials(eint, rho)
+            table.evaluate(eint, rho)
 
     def test_probe_outside_ranges_rejected(self, table):
         with pytest.raises(OutOfDomain):
-            table.pressure(0.05, 0.15)
+            table.evaluate(0.05, 0.15)
         with pytest.raises(OutOfDomain):
-            table.pressure(0.3, 0.5)
+            table.evaluate(0.3, 0.5)
 
     def test_probe_outside_ranges_names_index_and_hull(self, table):
         rho = np.full(5, 0.3)
         rho[3] = 0.4
         with pytest.raises(OutOfDomain, match=r"rho = 0\.4 at index 3 outside the tabulated "
                                               r"range \[0\.18, 0\.36\]"):
-            table.pressure(rho, np.full(5, 0.15))
+            table.evaluate(rho, np.full(5, 0.15))
         eint = np.full(5, 0.15)
         eint[1] = 0.05
         with pytest.raises(OutOfDomain, match=r"e_int = 0\.05 at index 1 outside the "
                                               r"tabulated range \[0\.085, 0\.22\]"):
-            table.partials(np.full(5, 0.3), eint)
+            table.evaluate(np.full(5, 0.3), eint)

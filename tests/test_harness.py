@@ -222,6 +222,23 @@ class TestExperiments:
         assert len(inverted) == 7
         assert len({id(q) for q in inverted}) == 7
 
+    def test_entropy_track_builds_each_reference_once(self, tmp_path, monkeypatch):
+        from fermi_euler import micro
+
+        built = []
+        gibbs_gaussian = micro.gibbs_gaussian
+
+        def counted(lattice, field):
+            built.append(lattice.L)
+            return gibbs_gaussian(lattice, field)
+
+        monkeypatch.setattr(micro, "gibbs_gaussian", counted)
+        cfg = small_config("entropy-track", tmp_path / "e", times=[0.0, 0.005, 0.01])
+        experiments.run_entropy_track(cfg)
+        # per L the initial state, which is also the reference at T = 0, and
+        # the reference at each T > 0
+        assert built == [64, 64, 64, 128, 128, 128]
+
     def test_entropy_track_time_below_difference_step(self, tmp_path):
         # for T < 2e-4 the centred difference's step is T itself, so the run
         # needs no negative time; the gap is 1.7e-4 at T = 1e-4 (S = 8.4e-9)

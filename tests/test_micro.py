@@ -1027,16 +1027,12 @@ class TestSerialization:
         assert lines[0] == "x,n,p,h,w0,w1,w4"
         assert len(lines) == 33
 
-    def test_hand_packed_snapshot_loads(self, tmp_path):
+    def test_dense_snapshot_refused(self, tmp_path):
         lat = Lattice(12)
-        st = gibbs_gaussian(lat, smooth_field(lat, seed=6))
         path = tmp_path / "old.bin"
-        path.write_bytes(fegsnap1_bytes(st, 3.5))
-        back, t = load_state(path)
-        assert t == 3.5
-        assert back.L == 12
-        assert np.max(np.abs(back.chat - st.chat)) < 1e-15
-        assert np.max(np.abs(back.C - st.C)) < 1e-15
+        path.write_bytes(fegsnap1_bytes(gibbs_gaussian(lat, smooth_field(lat, seed=6)), 3.5))
+        with pytest.raises(ValueError, match="old.bin: dense FEGSNAP1 snapshots are retired"):
+            load_state(path)
 
     def test_banded_state_roundtrip(self, tmp_path):
         # FEGSNAP2 holds the 21 diagonals the cut keeps of 128, bit for bit,
@@ -1072,18 +1068,6 @@ class TestSerialization:
         back, _ = load_state(path)
         assert back.s_vn is None
         assert np.array_equal(back.diagonals, st.diagonals)
-
-    @pytest.mark.parametrize("change,found", [(-16, "found 527"), (8, "found 528.5")])
-    def test_wrong_length_snapshot_rejected(self, tmp_path, change, found):
-        # FEGSNAP1 at L = 32 packs 528 entries: a truncated file and one with
-        # trailing bytes both name the path and the two counts
-        lat = Lattice(32)
-        path = tmp_path / "state.bin"
-        data = fegsnap1_bytes(gibbs_gaussian(lat, smooth_field(lat, seed=4)), 0.0)
-        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
-        with pytest.raises(ValueError, match=f"state.bin: expected 528 packed entries for "
-                                             f"L = 32, {found}"):
-            load_state(path)
 
     @pytest.mark.parametrize("change", [-16, 8, -(16 * 21 * 64 + 8 * 21 + 20)])
     def test_wrong_length_band_rejected(self, tmp_path, change):
