@@ -195,16 +195,6 @@ def fock_oracle_gaussian(n_sites: int, kmat: np.ndarray) -> DensityMatrix:
     return DensityMatrix((vecs * w) @ vecs.conj().T)
 
 
-def correlation_matrix(state: DensityMatrix, n_sites: int) -> np.ndarray:
-    """One-particle correlations C[x, y] = <a+_y a_x> of a Fock-space state."""
-    ann = jordan_wigner_annihilators(n_sites)
-    c = np.empty((n_sites, n_sites), dtype=complex)
-    for x in range(n_sites):
-        for y in range(n_sites):
-            c[x, y] = np.trace(state.mat @ ann[y].conj().T @ ann[x])
-    return c
-
-
 def partial_trace(state: DensityMatrix, n_sites: int, keep: list[int]) -> DensityMatrix:
     """Reduce a Fock-space state to the modes in keep (bit-pattern basis)."""
     keep = sorted(keep)

@@ -69,7 +69,7 @@ class MultiplierVector:
 
     def __post_init__(self):
         object.__setattr__(self, "lam_mom", np.atleast_1d(np.asarray(self.lam_mom, dtype=float)))
-        if not np.all(np.isfinite(self.as_array())):
+        if not all(map(math.isfinite, (self.lam0, *self.lam_mom, self.lam4))):
             raise ValueError("multiplier components must be finite")
         if self.lam4 <= 0.0:
             raise NonpositiveBeta(f"lam4 = {self.lam4} must be > 0")
@@ -472,23 +472,39 @@ def energy_floor(model: EosModel, rho):
     return 0.3 * (6.0 * np.pi**2) ** (2.0 / 3.0) * rho ** (5.0 / 3.0)
 
 
-def _guard(model: EosModel, q: np.ndarray) -> list:
-    """The conditions of the dualizable region on densities q (N, d+2), in
-    the order `invert` checks them: (violated (N,), error type, message for
-    cell j) per condition."""
+# The conditions of the dualizable region, in the order `invert` checks them:
+# the error type and message of a cell that violates each.
+_GUARD_ERRORS = (
+    (NonFinite, "non-finite densities {q}"),
+    (OutOfDomain, "rho = {rho} must be > 0"),
+    (OutOfDomain, "rho = {rho} exceeds the filled-band density 1"),
+    (OutOfDomain, "internal energy {eint:.6e} at or below the T=0 floor {floor:.6e}"),
+)
+
+
+def _guard(model: EosModel, q: np.ndarray):
+    """Which cells of densities q (N, d+2) violate each condition of the
+    dualizable region, (4, N) in the order of _GUARD_ERRORS: finite
+    densities, rho > 0, below the filled band on the Brillouin zone and
+    internal energy above the T=0 floor; and a function that gives the error
+    of condition k at cell j."""
+    violated = np.empty((4, len(q)), dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = q[:, 0]
-        eint = q[:, -1] - 0.5 * np.sum(q[:, 1:-1] ** 2, axis=1) / rho
+        eint = q[:, -1] - 0.5 * (q[:, 1:-1] ** 2).sum(axis=1) / rho
         floor = energy_floor(model, rho)
-        return [
-            (~np.all(np.isfinite(q), axis=1), NonFinite,
-             lambda j: f"non-finite densities {q[j]}"),
-            (rho <= 0.0, OutOfDomain, lambda j: f"rho = {rho[j]} must be > 0"),
-            ((rho >= 1.0) & (model.domain == BRILLOUIN), OutOfDomain,
-             lambda j: f"rho = {rho[j]} exceeds the filled-band density 1"),
-            (eint <= floor, OutOfDomain,
-             lambda j: f"internal energy {eint[j]:.6e} at or below the T=0 floor {floor[j]:.6e}"),
-        ]
+        np.logical_not(np.isfinite(q).all(axis=1), out=violated[0])
+        np.less_equal(rho, 0.0, out=violated[1])
+        np.greater_equal(rho, 1.0, out=violated[2])
+        violated[2] &= model.domain == BRILLOUIN
+        np.less_equal(eint, floor, out=violated[3])
+
+    def error(k: int, j: int) -> Exception:
+        kind, message = _GUARD_ERRORS[k]
+        return kind(f"cell {j}: "
+                    + message.format(q=q[j], rho=rho[j], eint=eint[j], floor=floor[j]))
+
+    return violated, error
 
 
 def _guess(model: EosModel, q: np.ndarray) -> np.ndarray:
@@ -518,6 +534,22 @@ _RTOL = 1e-10
 _MAX_ITER = 100
 
 
+# The index of every cell of a Newton pass: a slice, which gathers nothing.
+_EVERY = slice(None)
+
+
+def _where(mask: np.ndarray):
+    """The indices of mask's true entries: _EVERY when all are."""
+    return _EVERY if np.count_nonzero(mask) == len(mask) else np.flatnonzero(mask)
+
+
+def _pick(index, within):
+    """index[within] for indices that may be _EVERY."""
+    if within is _EVERY:
+        return index
+    return within if index is _EVERY else index[within]
+
+
 def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray):
     """Damped Newton for dual_q(lam) = q over cells (N, d+2), in place on lam;
     returns lam and each cell's final largest relative residual.
@@ -526,39 +558,44 @@ def _newton(model: EosModel, q: np.ndarray, lam: np.ndarray):
     psi(lam) - lam.q: a full Newton step, halved while the largest relative
     residual does not decrease or lam4 leaves (0, inf).  A cell stops once
     its residual is within _RTOL; every evaluation gives the densities and
-    the Hessian together."""
+    the Hessian together.  The cells of a step still untaken have all been
+    halved alike, so one factor t serves them all; and a set of cells that
+    holds every cell of its pass (every live cell, every trial with lam4 > 0,
+    every trial taken) is the whole-array slice, so a pass with nothing to
+    drop gathers nothing."""
     y = q.copy()
     y[:, -1] *= -1.0  # gradient of psi at the solution
     size = np.abs(q)
     scale = np.maximum(np.maximum(size, 1e-3 * size.max(axis=1, keepdims=True)), 1e-300)
     _, grad, hess = _evaluate(model, lam, False, True, True)
     r = grad - y
-    rel = np.max(np.abs(r) / scale, axis=1)
+    rel = (np.abs(r) / scale).max(axis=1)
     live = ~(rel <= _RTOL)
     for _ in range(_MAX_ITER):
-        todo = np.flatnonzero(live)
-        if todo.size == 0:
+        if not np.count_nonzero(live):
             break
-        base, step = lam[todo], _solve(hess[todo], -r[todo])
-        t = np.ones(todo.size)
+        todo = _where(live)
+        step = _solve(hess[todo], -r[todo])
+        t = 1.0
         for _halving in range(60):
-            trial = base + t[:, None] * step
-            ok = np.flatnonzero(trial[:, -1] > 0.0)
-            at = todo[ok]
+            # the cells of todo keep the multipliers this step started from
+            trial = lam[todo] + t * step
+            ok = _where(trial[:, -1] > 0.0)
+            at = _pick(todo, ok)
             _, grad, trial_hess = _evaluate(model, trial[ok], False, True, True)
             r_new = grad - y[at]
-            rel_new = np.max(np.abs(r_new) / scale[at], axis=1)
-            better = (rel_new < rel[at]) | (t[ok] < 2e-16)
-            took = ok[better]
-            at = todo[took]
+            rel_new = (np.abs(r_new) / scale[at]).max(axis=1)
+            better = _EVERY if t < 2e-16 else _where(rel_new < rel[at])
+            took = _pick(ok, better)
+            at = _pick(todo, took)
             lam[at], r[at], rel[at], hess[at] = (
                 trial[took], r_new[better], rel_new[better], trial_hess[better]
             )
-            if took.size == todo.size:
+            if took is _EVERY:
                 break
-            keep = np.ones(todo.size, dtype=bool)
+            keep = np.ones(len(step), dtype=bool)
             keep[took] = False
-            todo, base, step, t = todo[keep], base[keep], step[keep], 0.5 * t[keep]
+            todo, step, t = _pick(todo, np.flatnonzero(keep)), step[keep], 0.5 * t
         else:
             live[todo] = False  # stalled
         live &= ~(rel <= _RTOL)
@@ -582,13 +619,34 @@ def invert_cells(model: EosModel, q):
     of `invert`; lam (..., d+2) is NaN wherever a cell is not converged."""
     shape = np.shape(q)
     flat = _cells(model, q, "densities")
-    inside = ~np.logical_or.reduce([violated for violated, _, _ in _guard(model, flat)])
+    inside = ~_guard(model, flat)[0].any(axis=0)
     lam = np.full(flat.shape, np.nan)
     lam[inside], rel = _newton(model, flat[inside], _guess(model, flat[inside]))
     converged = inside.copy()
     converged[inside] = rel <= _RTOL
     lam[~converged] = np.nan
     return lam.reshape(shape), inside.reshape(shape[:-1]), converged.reshape(shape[:-1])
+
+
+def _invert(model: EosModel, q: np.ndarray, guess, shape: tuple) -> np.ndarray:
+    """`invert` on densities q (N, d+2), given to it in this shape: the
+    multipliers (N, d+2)."""
+    violated, error = _guard(model, q)
+    if violated.any():
+        k = int(violated.any(axis=1).argmax())
+        raise error(k, int(violated[k].argmax()))
+    lam = _guess(model, q) if guess is None else _cells(model, guess, "multipliers").copy()
+    if lam.shape != q.shape:
+        raise ValueError(f"guess of shape {np.shape(guess)} does not match densities {shape}")
+    lam, rel = _newton(model, q, lam)
+    if not (rel <= _RTOL).all():
+        j = int((~(rel <= _RTOL)).argmax())
+        raise NoConvergence(
+            f"cell {j}: Newton inversion stalled at relative residual {rel[j]:.3e} "
+            f"(rtol {_RTOL:.1e})",
+            residual=rel[j],
+        )
+    return lam
 
 
 def invert(model: EosModel, q, guess=None):
@@ -598,24 +656,7 @@ def invert(model: EosModel, q, guess=None):
     steps; starts from `guess` (same shape) or the crossover guess.  Raises
     NonFinite, OutOfDomain or NoConvergence naming the first offending cell."""
     shape = np.shape(q)
-    flat = _cells(model, q, "densities")
-    for violated, error, message in _guard(model, flat):
-        if np.any(violated):
-            j = int(np.argmax(violated))
-            raise error(f"cell {j}: {message(j)}")
-    lam = _guess(model, flat) if guess is None else _cells(model, guess, "multipliers").copy()
-    if lam.shape != flat.shape:
-        raise ValueError(f"guess of shape {np.shape(guess)} does not match densities {shape}")
-    lam, rel = _newton(model, flat, lam)
-    unconverged = ~(rel <= _RTOL)
-    if np.any(unconverged):
-        j = int(np.argmax(unconverged))
-        raise NoConvergence(
-            f"cell {j}: Newton inversion stalled at relative residual {rel[j]:.3e} "
-            f"(rtol {_RTOL:.1e})",
-            residual=rel[j],
-        )
-    return lam.reshape(shape)
+    return _invert(model, _cells(model, q, "densities"), guess, shape).reshape(shape)
 
 
 def invert_to_multipliers(
@@ -626,8 +667,9 @@ def invert_to_multipliers(
     """Solve dual_q(lam) = target by damped Newton on the strictly convex
     objective psi(lam) - lam.target (the Legendre sup shares this maximizer);
     `invert` for one cell."""
+    q = target.as_array()[None]
     guess = None if initial_guess is None else initial_guess.as_array()[None]
-    return MultiplierVector.from_array(invert(model, target.as_array()[None], guess)[0])
+    return MultiplierVector.from_array(_invert(model, q, guess, q.shape)[0])
 
 
 def virial_gap(model: EosModel, lam: MultiplierVector) -> float:
@@ -733,11 +775,16 @@ class EosTable:
         return tuple(out.sum(axis=1).reshape((3,) + rho.shape))
 
 
-def _extrapolate(nodes: np.ndarray, lam: np.ndarray, x: float) -> MultiplierVector:
-    """The polynomial through the multipliers lam (k, d+2) at the k nodes,
-    at x, or lam[-1] where that has lam4 <= 0.  From four neighbours a node's
-    Newton takes 2.05 kernel evaluations, from one 3.97 (40 x 40 table)."""
-    weights = [math.prod((x - b) / (a - b) for b in nodes if b != a) for a in nodes]
+def _lagrange_weights(nodes: np.ndarray, x: float) -> np.ndarray:
+    """The weights at x of the polynomial through values at the k nodes."""
+    return np.array([math.prod((x - b) / (a - b) for b in nodes if b != a) for a in nodes])
+
+
+def _extrapolate(weights: np.ndarray, lam: np.ndarray) -> MultiplierVector:
+    """The polynomial through the multipliers lam (k, d+2) at k nodes, by its
+    Lagrange weights at the next node, or lam[-1] where that has lam4 <= 0.
+    From four neighbours a node's Newton takes 2.05 kernel evaluations, from
+    one 3.97 (40 x 40 table)."""
     guess = np.dot(weights, lam)
     return MultiplierVector.from_array(guess if guess[-1] > 0.0 else lam[-1])
 
@@ -781,18 +828,22 @@ def tabulate(
     n_rho, n_eint = resolution
     rho = 0.5 * (rho_lo + rho_hi) + 0.5 * (rho_hi - rho_lo) * chebyshev_points(n_rho)
     eint = 0.5 * (eint_lo + eint_hi) + 0.5 * (eint_hi - eint_lo) * chebyshev_points(n_eint)
+    # warm start: the multipliers extrapolated from this column's last rows
+    # (along the first row, from its last points), whose weights depend only
+    # on the node's index along that axis
+    w_rho, w_eint = ([_lagrange_weights(x[max(k - 4, 0):k], x[k]) for k in range(1, len(x))]
+                     for x in (rho, eint))
+    mom = np.zeros(model.d)
     lam = np.empty((n_rho, n_eint, model.d + 2))
     for i in range(n_rho):
         for j in range(n_eint):
-            # warm start: the multipliers extrapolated from this column's last
-            # rows (along the first row, from its last points)
             if i:
-                guess = _extrapolate(rho[max(i - 4, 0):i], lam[max(i - 4, 0):i, j], rho[i])
+                guess = _extrapolate(w_rho[i - 1], lam[max(i - 4, 0):i, j])
             elif j:
-                guess = _extrapolate(eint[max(j - 4, 0):j], lam[0, max(j - 4, 0):j], eint[j])
+                guess = _extrapolate(w_eint[j - 1], lam[0, max(j - 4, 0):j])
             else:
                 guess = None
-            q = ConservedVector(rho=rho[i], mom=np.zeros(model.d), e=eint[j])
+            q = ConservedVector(rho=rho[i], mom=mom, e=eint[j])
             lam[i, j] = invert_to_multipliers(model, q, guess).as_array()
     target = np.zeros_like(lam)
     target[..., 0] = rho[:, None]

@@ -16,10 +16,12 @@ solutions.  Each stage calls the closure once per state, for P and both
 partials, and `run` chooses dt from the speeds that the first stage then
 reuses.
 
-The solver guards the one-phase region every stage (finite densities,
-rho > 0 and internal energy above the zero-temperature floor) and halts
-rather than extrapolating the EOS.  Past the smooth-solution horizon it
-reports a shock indicator and stops claiming validity.
+The solver guards the one-phase region (finite densities, rho > 0 and
+internal energy above the zero-temperature floor) once on every state it
+makes, where the state's closure values are first needed or where `run`
+records it, and halts rather than extrapolating the EOS.  Past the
+smooth-solution horizon it reports a shock indicator and stops claiming
+validity.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ class ConservedField:
 class EulerSolution:
     """Solver state: conserved field, time, CFL number, and the EOS handle.
 
-    The closure values and the wave-speed bound on q are evaluated once,
-    on first use, and shared by everything that needs them for this state."""
+    The one-phase guard, the closure values and the wave-speed bound on q
+    are evaluated once, on first use, and shared by everything that needs
+    them for this state."""
 
     grid: MacroGrid
     q: ConservedField
@@ -107,11 +110,17 @@ class EulerSolution:
     cfl: float = DEFAULT_CFL
 
     @cached_property
+    def guarded_q(self) -> ConservedField:
+        """q, once it has passed the one-phase guard (which raises otherwise)."""
+        _check_one_phase(self.q, self.closure.model)
+        return self.q
+
+    @cached_property
     def closure_values(self) -> tuple:
         """(P, dP/drho, dP/de_int) on q by one closure call, behind the
         one-phase guard."""
-        _check_one_phase(self.q, self.closure.model)
-        return self.closure(self.q.rho, self.q.e_internal)
+        q = self.guarded_q
+        return self.closure(q.rho, q.e_internal)
 
     @cached_property
     def wave_speeds(self) -> np.ndarray:
@@ -195,8 +204,9 @@ def rhs(sol: EulerSolution) -> np.ndarray:
 
 
 def step(sol: EulerSolution, dt: float) -> EulerSolution:
-    """One Heun (two-stage) step; conserves cell totals to round-off and
-    checks the one-phase guard on each stage's state and on the result."""
+    """One Heun (two-stage) step; conserves cell totals to round-off.  The
+    one-phase guard runs on each stage's state as its closure values are
+    evaluated, and on the result at its first use (`guarded_q`)."""
     rhs1 = rhs(sol)
     dt_max = sol.cfl * sol.grid.dx / max(sol.wave_speeds.max(), 1e-300)
     if dt > dt_max * (1.0 + 1e-12):
@@ -204,7 +214,6 @@ def step(sol: EulerSolution, dt: float) -> EulerSolution:
     star = replace(sol, q=ConservedField.from_stack(sol.q.stack() + dt * rhs1))
     rhs2 = rhs(star)
     q_new = ConservedField.from_stack(sol.q.stack() + 0.5 * dt * (rhs1 + rhs2))
-    _check_one_phase(q_new, sol.closure.model)
     return replace(sol, q=q_new, time=sol.time + dt)
 
 
@@ -223,7 +232,7 @@ def run(
     snapshot_times: list | None = None,
 ) -> EulerTrajectory:
     """Integrate to t_final, storing snapshots at the requested times
-    (always including 0 and t_final).
+    (always including 0 and t_final), each behind the one-phase guard.
 
     The trajectory takes full CFL steps throughout: a snapshot time that a
     full step would pass is reached by a partial step branched off the
@@ -240,7 +249,7 @@ def run(
 
     def record(s):
         times.append(s.time)
-        snaps.append(s.q)
+        snaps.append(s.guarded_q)
         shocks.append(shock_indicator(s.q))
 
     def full_step(s):

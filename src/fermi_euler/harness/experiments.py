@@ -13,7 +13,9 @@ instead of the L-independent smoothing bias of the window itself.  No
 convergence is asserted at large T: the free gas conserves every momentum
 mode occupation, so only the T = 0 structure and short-time slopes are
 expected to refine (they are reported, never extrapolated).  The T = 0 slope
-is exact: the fields of the generator -i (eps_k - eps_q) Chat.
+is exact: the fields of the generator -i (eps_k - eps_q) Chat.  Its Euler
+reference interpolates to the sites the profile's Brillouin-zone fields at
+M equispaced X nodes, the same for every L (`slope_node_fields`).
 
 entropy-track follows s(gamma_t | omega^eps_t)/L with omega the local Gibbs
 state of the Euler trajectory's multiplier field at each snapshot T > 0
@@ -44,6 +46,12 @@ TEST_FUNCTIONS = {
     "sin": lambda X: np.sin(2.0 * np.pi * X),
 }
 COMPONENTS = ("n", "p", "h")
+
+# The slope's Brillouin-zone fields are smooth in X.  They are evaluated at
+# M equispaced nodes, M doubling from SLOPE_NODES until no field has a mode
+# above M/4 larger than SLOPE_TAIL times the largest mode of all the fields.
+SLOPE_NODES = 16
+SLOPE_TAIL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +93,20 @@ def trig_interp(values: np.ndarray, L: int, x_offset: float) -> np.ndarray:
         padded[(n // 2) % L] += coef[n // 2] * np.exp(-2j * np.pi * n * x_offset)
     np.add.at(padded, m % L, coef)
     return np.fft.ifft(padded).real * (L / n)
+
+
+def slope_node_fields(model: eos.EosModel, profile: dict, max_nodes: int):
+    """(M, (rho, mom, e, P)): the Brillouin-zone fields of a profile's
+    multipliers at the M nodes j/M of the unit torus, M as SLOPE_NODES and
+    SLOPE_TAIL set it, but at most the first doubling to reach max_nodes."""
+    m = SLOPE_NODES
+    while True:
+        lam = lam_sites_from_profile(profile, np.arange(m) / m, model)
+        fields = (*bz_dual_fields(model, *lam), bz_pressure_field(model, *lam))
+        modes = np.abs(np.fft.rfft(fields, axis=1))
+        if m >= max_nodes or modes[:, m // 4 + 1:].max() <= SLOPE_TAIL * modes.max():
+            return m, fields
+        m *= 2
 
 
 def macro_spectral_derivative(field: np.ndarray) -> np.ndarray:
@@ -171,8 +193,9 @@ def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceRepo
     error_rows, slope_rows = [], []
     out = Path(out_dir or config.out_dir)
     try:
+        slope_nodes, node_fields = slope_node_fields(model, config.profile, max(config.l_list))
         for L in config.l_list:
-            lat, lam, omega0 = _initial_gibbs(config, L, model)
+            lat, _, omega0 = _initial_gibbs(config, L, model)
             ell = L // config.ell_ratio
             X = lat.sites * lat.epsilon
 
@@ -194,10 +217,9 @@ def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceRepo
                         error_rows.append((L, ell, t_macro, fname, comp, e_val))
 
             # slope at T = 0, exact from the generator (d/dT = d/dt / epsilon),
-            # against the Euler right side
+            # against the Euler right side of the profile's fields at the sites
             slope = micro.densities_rate(omega0).stack() / lat.epsilon
-            rho_r, mom_r, e_r = bz_dual_fields(model, *lam)
-            p_r = bz_pressure_field(model, *lam)
+            rho_r, mom_r, e_r, p_r = (trig_interp(f, L, x_offset=0.0) for f in node_fields)
             a_fields = euler.flux_A(euler.ConservedField(rho_r, mom_r, e_r), p_r)
             rhs = -np.stack([macro_spectral_derivative(a) for a in a_fields])
             for idx, comp in enumerate(COMPONENTS):
@@ -223,9 +245,8 @@ def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceRepo
         flags[f"T={t_macro}:{comp}"] = bool(
             all(by_l[b] < by_l[a] for a, b in zip(ls, ls[1:]))
         )
-    write_manifest(
-        out, config, extras={"rows": len(error_rows), "errors_decreasing_in_L": flags}
-    )
+    write_manifest(out, config, extras={"rows": len(error_rows), "errors_decreasing_in_L": flags,
+                                        "slope_nodes": slope_nodes})
     return report
 
 
@@ -292,7 +313,7 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
                                 / (config.cfl * grid.dx)))
             for _ in range(parts):
                 sol = euler.step(sol, h / parts)
-        return sol.q
+        return sol.guarded_q
 
     # each snapshot's cell multipliers, inverted once for every L, their rate
     # at the report times, and those at both ends of each difference

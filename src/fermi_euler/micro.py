@@ -75,7 +75,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-SPECTRUM_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_CLIP = 1e-12
 # the local Gibbs build's round-off floor, tolerance and crossover: see
@@ -333,13 +332,6 @@ class GaussianState:
             return self.s_vn
         vals = np.clip(eigh(self.chat, eigvals_only=True), 0.0, 1.0)
         return float(-np.sum(_xlogx(vals) + _xlogx(1.0 - vals)))
-
-    def validate(self, tol: float = SPECTRUM_TOL) -> None:
-        vals = eigh(self.chat, eigvals_only=True)
-        if vals.min() < -tol or vals.max() > 1.0 + tol:
-            raise ValueError(
-                f"spectrum [{vals.min():.3e}, {vals.max():.3e}] outside [0, 1]"
-            )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from scipy.linalg import eigh, expm
 from fermi_euler import entropy
 from fermi_euler.entropy import (
     DensityMatrix,
-    correlation_matrix,
     entropy_inequality_gap,
     fock_oracle_gaussian,
     golden_thompson_gap,
@@ -17,6 +16,16 @@ from fermi_euler.entropy import (
     rel_entropy_dm,
 )
 from fermi_euler.errors import NotAState, NotOrthonormal, SingularReference, TooLarge
+
+
+def correlation_matrix(state: DensityMatrix, n_sites: int) -> np.ndarray:
+    """One-particle correlations C[x, y] = <a+_y a_x> of a Fock-space state."""
+    ann = jordan_wigner_annihilators(n_sites)
+    c = np.empty((n_sites, n_sites), dtype=complex)
+    for x in range(n_sites):
+        for y in range(n_sites):
+            c[x, y] = np.trace(state.mat @ ann[y].conj().T @ ann[x])
+    return c
 
 
 def random_hermitian(dim, rng, scale=1.0):

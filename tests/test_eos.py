@@ -1,5 +1,6 @@
 """Free-Fermi-gas thermodynamics: pressure, dual map, inversion, closures."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebder
 from scipy import integrate
 from scipy.special import expit
 
@@ -872,3 +874,271 @@ class TestTable:
         with pytest.raises(OutOfDomain, match=r"e_int = 0\.05 at index 1 outside the "
                                               r"tabulated range \[0\.085, 0\.22\]"):
             table.evaluate(np.full(5, 0.3), eint)
+
+
+# The one-cell inversions as first written: every call tests and words each
+# condition of the guard, the Newton gathers its cells by index even when it
+# keeps them all, and the table's loop recomputes its Lagrange weights at
+# every node.  What replaced them must match them bit for bit, evaluation for
+# evaluation.
+
+
+def ref_guard_error(model, q):
+    """(error type, message) of the first condition violated by densities q
+    (N, d+2), naming its first cell, or None."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = q[:, 0]
+        eint = q[:, -1] - 0.5 * np.sum(q[:, 1:-1] ** 2, axis=1) / rho
+        floor = energy_floor(model, rho)
+        conditions = [
+            (~np.all(np.isfinite(q), axis=1), NonFinite,
+             lambda j: f"non-finite densities {q[j]}"),
+            (rho <= 0.0, OutOfDomain, lambda j: f"rho = {rho[j]} must be > 0"),
+            ((rho >= 1.0) & (model.domain == BRILLOUIN), OutOfDomain,
+             lambda j: f"rho = {rho[j]} exceeds the filled-band density 1"),
+            (eint <= floor, OutOfDomain,
+             lambda j: f"internal energy {eint[j]:.6e} at or below the T=0 floor {floor[j]:.6e}"),
+        ]
+    for violated, error, message in conditions:
+        if np.any(violated):
+            j = int(np.argmax(violated))
+            return error, f"cell {j}: {message(j)}"
+    return None
+
+
+def ref_newton(model, q, lam):
+    """The damped Newton of `eos._newton`, gathering by index throughout."""
+    y = q.copy()
+    y[:, -1] *= -1.0
+    size = np.abs(q)
+    scale = np.maximum(np.maximum(size, 1e-3 * size.max(axis=1, keepdims=True)), 1e-300)
+    _, grad, hess = eos._evaluate(model, lam, False, True, True)
+    r = grad - y
+    rel = np.max(np.abs(r) / scale, axis=1)
+    live = ~(rel <= eos._RTOL)
+    for _ in range(eos._MAX_ITER):
+        todo = np.flatnonzero(live)
+        if todo.size == 0:
+            break
+        base, step = lam[todo], eos._solve(hess[todo], -r[todo])
+        t = np.ones(todo.size)
+        for _halving in range(60):
+            trial = base + t[:, None] * step
+            ok = np.flatnonzero(trial[:, -1] > 0.0)
+            at = todo[ok]
+            _, grad, trial_hess = eos._evaluate(model, trial[ok], False, True, True)
+            r_new = grad - y[at]
+            rel_new = np.max(np.abs(r_new) / scale[at], axis=1)
+            better = (rel_new < rel[at]) | (t[ok] < 2e-16)
+            took = ok[better]
+            at = todo[took]
+            lam[at], r[at], rel[at], hess[at] = (
+                trial[took], r_new[better], rel_new[better], trial_hess[better]
+            )
+            if took.size == todo.size:
+                break
+            keep = np.ones(todo.size, dtype=bool)
+            keep[took] = False
+            todo, base, step, t = todo[keep], base[keep], step[keep], 0.5 * t[keep]
+        else:
+            live[todo] = False
+        live &= ~(rel <= eos._RTOL)
+    return lam, rel
+
+
+def ref_extrapolate(nodes, lam, x):
+    weights = [math.prod((x - b) / (a - b) for b in nodes if b != a) for a in nodes]
+    guess = np.dot(weights, lam)
+    return guess if guess[-1] > 0.0 else lam[-1]
+
+
+def ref_tabulate_coef(model, rho_range, eint_range, resolution):
+    """The coefficients of `tabulate`, each node inverted by `ref_newton`."""
+    (rho_lo, rho_hi), (eint_lo, eint_hi) = rho_range, eint_range
+    n_rho, n_eint = resolution
+    rho = 0.5 * (rho_lo + rho_hi) + 0.5 * (rho_hi - rho_lo) * eos.chebyshev_points(n_rho)
+    eint = 0.5 * (eint_lo + eint_hi) + 0.5 * (eint_hi - eint_lo) * eos.chebyshev_points(n_eint)
+    lam = np.empty((n_rho, n_eint, model.d + 2))
+    for i in range(n_rho):
+        for j in range(n_eint):
+            q = np.zeros((1, model.d + 2))
+            q[0, 0], q[0, -1] = rho[i], eint[j]
+            if i:
+                guess = ref_extrapolate(rho[max(i - 4, 0):i], lam[max(i - 4, 0):i, j], rho[i])
+            elif j:
+                guess = ref_extrapolate(eint[max(j - 4, 0):j], lam[0, max(j - 4, 0):j], eint[j])
+            else:
+                guess = eos._guess(model, q)[0]
+            out, rel = ref_newton(model, q, guess[None].copy())
+            assert rel[0] <= eos._RTOL
+            lam[i, j] = out[0]
+    target = np.zeros_like(lam)
+    target[..., 0] = rho[:, None]
+    target[..., -1] = -eint
+    _, grad, hess = moments(model, lam, psi=False)
+    lam -= eos._solve(hess, grad - target)
+    p = moments(model, lam, grad=False, hess=False)[0] / lam[..., -1]
+    c = eos.chebyshev_coefficients(eos.chebyshev_coefficients(p, axis=0), axis=1)
+    size = np.abs(c)
+    above = [np.flatnonzero(size.max(axis=other) > eos._TABLE_FLOOR * size.max())
+             for other in (1, 0)]
+    c = c[: max(above[0][-1], 1) + 1, : max(above[1][-1], 1) + 1]
+    coef = np.zeros((3,) + c.shape)
+    coef[0] = c
+    coef[1, :-1] = chebder(c, scl=2.0 / (rho_hi - rho_lo), axis=0)
+    coef[2, :, :-1] = chebder(c, scl=2.0 / (eint_hi - eint_lo), axis=1)
+    return coef
+
+
+BZ512 = EosModel(d=1, domain=BRILLOUIN, bz_nodes=512)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The number of kernel evaluations made since the fixture was set up."""
+    calls = []
+    evaluate = eos._evaluate
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return evaluate(*args)
+
+    monkeypatch.setattr(eos, "_evaluate", counted)
+    return calls
+
+
+class TestOneCellInversions:
+    def test_benchmark_table_bitwise_equal_to_first_loop(self, bz_table):
+        coef = ref_tabulate_coef(BZ, (0.15, 0.21), (0.035, 0.065), (40, 40))
+        assert np.array_equal(bz_table.coef, coef)
+
+    def test_wide_table_bitwise_equal_to_first_loop(self, monkeypatch):
+        # the rectangle of test_wide_rectangle_builds, where one node's
+        # extrapolated start has lam4 <= 0 and takes its neighbour's instead
+        fallbacks = []
+        extrapolate = eos._extrapolate
+
+        def seen(weights, lam):
+            fallbacks.append(np.dot(weights, lam)[-1] <= 0.0)
+            return extrapolate(weights, lam)
+
+        monkeypatch.setattr(eos, "_extrapolate", seen)
+        table = tabulate(M1, (0.05, 1.0), (1.7, 50.0), resolution=(6, 6))
+        assert any(fallbacks)
+        assert np.array_equal(table.coef, ref_tabulate_coef(M1, (0.05, 1.0), (1.7, 50.0), (6, 6)))
+
+    @staticmethod
+    def bad_cells(model, q, j):
+        """q with cell j made to violate each condition of the guard in turn."""
+        rho, e = q[j, 0], q[j, -1]
+        out = []
+        for cell in ([np.nan, 0.0, e], [-0.1, 0.0, e], [1.2, 0.0, e],
+                     [rho, 0.0, 0.5 * energy_floor(model, rho)],
+                     [rho, 0.0, energy_floor(model, rho)]):
+            bad = q.copy()
+            bad[j] = cell
+            out.append(bad)
+        return out
+
+    @pytest.mark.parametrize("n_cells,j", [(1, 0), (8, 5)])
+    def test_guard_errors_as_first_worded(self, n_cells, j):
+        # each condition through `invert` and, on one cell, through
+        # `invert_to_multipliers`, the T=0 floor below it and on it; the
+        # filled band is a Brillouin-zone condition, so on the unbounded
+        # domain that cell fails the T=0 floor
+        for model in (BZ512, M1):
+            q = np.tile([0.18, 0.0, 0.05], (n_cells, 1))
+            for bad in self.bad_cells(model, q, j):
+                error, message = ref_guard_error(model, bad)
+                with pytest.raises(error) as raised:
+                    invert(model, bad)
+                assert str(raised.value) == message
+                if n_cells == 1:
+                    with pytest.raises(error) as raised:
+                        invert_to_multipliers(model, ConservedVector.from_array(bad[0]))
+                    assert str(raised.value) == message
+
+    def test_guard_reports_the_first_condition_then_its_first_cell(self):
+        # cell 2 below the T=0 floor, cells 6 and 4 not finite: the
+        # non-finite condition comes first, and cell 4 is its first cell
+        q = np.tile([0.18, 0.0, 0.05], (8, 1))
+        q[2, -1] = 0.5 * energy_floor(BZ512, 0.18)
+        q[6, 1] = q[4, -1] = np.inf
+        error, message = ref_guard_error(BZ512, q)
+        assert error is NonFinite and message.startswith("cell 4: ")
+        with pytest.raises(NonFinite) as raised:
+            invert(BZ512, q)
+        assert str(raised.value) == message
+
+    def test_warm_one_cell_takes_two_evaluations(self, evaluations):
+        lam = lam_phys(6.0, 0.0, 0.05)
+        q = dual_q(BZ, lam)
+        guess = MultiplierVector.from_array(lam.as_array() * (1.0 + 1e-6))
+        evaluations.clear()
+        back = invert_to_multipliers(BZ, q, guess)
+        assert evaluations == [1, 1]
+        assert np.max(np.abs(back.as_array() - lam.as_array())) < 1e-9
+
+    def test_crossover_batch_with_halvings_as_first_written(self, evaluations):
+        # the wide rectangle's 36 nodes from the crossover guess: 47 of the
+        # Newton's passes halve a step
+        rho, eint = np.meshgrid(np.linspace(0.05, 1.0, 6), np.linspace(1.7, 50.0, 6), indexing="ij")
+        q = np.stack([rho.ravel(), np.zeros(36), eint.ravel()], axis=1)
+        ref, ref_rel = ref_newton(M1, q, eos._guess(M1, q))
+        n_ref = list(evaluations)
+        evaluations.clear()
+        lam, rel = eos._newton(M1, q, eos._guess(M1, q))
+        assert evaluations == n_ref and len(n_ref) == 64 and len(set(n_ref)) > 2
+        assert np.array_equal(lam, ref) and np.array_equal(rel, ref_rel)
+        assert np.array_equal(invert(M1, q), lam)
+
+    def test_stalled_cell_as_first_written(self, evaluations):
+        # from lam4 = -1 no halving of the first step does better: the first
+        # three trials have lam4 > 0, the 57 after them lam4 <= 0 (and no
+        # cell to evaluate), and the cell stalls
+        q = np.array([[0.18, 0.0, 0.05]])
+        ref, ref_rel = ref_newton(BZ512, q, np.array([[-5.0, 0.0, -1.0]]))
+        n_ref = list(evaluations)
+        evaluations.clear()
+        lam, rel = eos._newton(BZ512, q, np.array([[-5.0, 0.0, -1.0]]))
+        assert evaluations == n_ref == [1] * 4 + [0] * 57
+        assert np.array_equal(lam, ref) and np.array_equal(rel, ref_rel)
+        with pytest.raises(NoConvergence, match="cell 0: Newton inversion stalled"):
+            invert(BZ512, q, [[-5.0, 0.0, -1.0]])
+
+    def test_round_off_floor_as_first_written(self, evaluations, monkeypatch):
+        # with a tolerance below round-off no trial does better, so steps are
+        # halved until t < 2e-16 and then taken all the same
+        lam = np.array([[0.5, 0.02, 6.0], [0.3, -0.01, 3.0]])
+        q = densities_of(BZ512, lam)
+        monkeypatch.setattr(eos, "_RTOL", 1e-20)
+        monkeypatch.setattr(eos, "_MAX_ITER", 3)
+        evaluations.clear()
+        ref, ref_rel = ref_newton(BZ512, q, lam * (1.0 + 1e-9))
+        n_ref = list(evaluations)
+        evaluations.clear()
+        got, rel = eos._newton(BZ512, q, lam * (1.0 + 1e-9))
+        # one step of one cell halved 53 times, to t = 2^-53
+        assert evaluations == n_ref and len(n_ref) == 58 and n_ref[3:56] == [1] * 53
+        assert np.array_equal(got, ref) and np.array_equal(rel, ref_rel)
+
+    def test_capped_newton_as_first_written(self, evaluations, monkeypatch):
+        # every cell but one starts at its solution, and the Newton is cut
+        # at two steps: the far cell's steps gather it alone, and most of its
+        # trials have lam4 <= 0 (no cell to evaluate)
+        model = BZ512
+        x = (np.arange(64) + 0.5) / 64
+        lam = np.stack([0.25 + 0.08 * np.cos(2 * np.pi * x), 0.1 * np.sin(2 * np.pi * x),
+                        2.5 + 0.25 * np.cos(2 * np.pi * x + 0.7)], axis=1)
+        q = densities_of(model, lam)
+        guess = lam.copy()
+        guess[17] = [-3.0, 0.0, 40.0]
+        monkeypatch.setattr(eos, "_MAX_ITER", 2)
+        evaluations.clear()
+        ref, ref_rel = ref_newton(model, q, guess.copy())
+        n_ref = list(evaluations)
+        evaluations.clear()
+        got, rel = eos._newton(model, q, guess.copy())
+        # the steps halved 11 and 9 times before the far cell's lam4 > 0
+        assert evaluations == n_ref == [64] + [0] * 11 + [1] + [0] * 9 + [1]
+        assert np.array_equal(got, ref) and np.array_equal(rel, ref_rel)

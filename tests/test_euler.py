@@ -23,6 +23,7 @@ from fermi_euler.euler import (
     step,
     wave_speed_bound,
 )
+from fermi_euler.harness.config import DEFAULT_PROFILE
 
 MODEL = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=4096)
 
@@ -270,6 +271,29 @@ class TestRun:
         # first-stage evaluation
         assert calls["wave_speed_bound"] == 2 * steps - 1
         assert counting.calls == 2 * steps - 1
+
+    def test_one_phase_guard_once_per_state(self, closure, monkeypatch):
+        # 256 cells of the default profile to T = 0.05 take 44 steps: the
+        # initial state, and each step's Heun stage and result, are checked
+        # once each (checking a step's result again as the next state took
+        # 132 checks)
+        checked = []
+        guard = euler_module._check_one_phase
+
+        def counted(q, model):
+            checked.append(q)
+            return guard(q, model)
+
+        monkeypatch.setattr(euler_module, "_check_one_phase", counted)
+        steps = []
+        monkeypatch.setattr(euler_module, "step", lambda *args: steps.append(1) or step(*args))
+        grid = MacroGrid(256)
+        q0 = initial_q_field("lambda-cos", DEFAULT_PROFILE["params"], grid, MODEL)
+        traj = run(q0, 0.05, grid, closure)
+        assert len(steps) == 44
+        assert len(checked) == 1 + 2 * len(steps) <= 90
+        # every recorded state, the run's last one too, was checked
+        assert all(any(snap is q for q in checked) for snap in traj.snapshots)
 
     def test_report_times_leave_the_trajectory(self, closure):
         # the partial steps to report times are branches: the state at T is

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fermi_euler import eos
 from fermi_euler.harness import checks, experiments
 from fermi_euler.harness.cli import main as cli_main
 from fermi_euler.harness.config import ExperimentConfig, load_config, write_manifest
@@ -117,8 +118,6 @@ class TestHelpers:
         assert np.max(np.abs(df - 2 * np.pi * np.cos(2 * np.pi * xs))) < 1e-10
 
     def test_bz_dual_fields_match_pointwise(self):
-        from fermi_euler import eos
-
         model = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=512)
         lam0 = np.array([0.2, 0.4])
         lam1 = np.array([0.1, -0.3])
@@ -133,13 +132,67 @@ class TestHelpers:
             assert abs(e[j] - q.e) < 1e-14
 
 
+BZ4096 = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=4096)
+# the benchmark's hydro profile (its phases drawn from seed 2101), and one
+# given by its densities
+HYDRO_PROFILE = {"kind": "lambda-cos", "params": {
+    "lam0": 0.25, "lam0_amp": 0.08, "lam0_phase": 4.5318, "lam1_amp": 0.1, "lam1_phase": 6.1935,
+    "lam4": 2.5, "lam4_amp": 0.25, "lam4_phase": 2.2687}}
+Q_COS = {"kind": "q-cos", "params": {"rho": 0.177, "rho_amp": 0.01, "mom_amp": 0.01,
+                                     "mom_phase": 0.5, "e": 0.048, "e_amp": 0.0025,
+                                     "e_phase": 1.0}}
+
+
+def site_fields(profile, L):
+    """(rho, mom, e, P) of the profile's multipliers at each of L sites."""
+    lam = experiments.lam_sites_from_profile(profile, np.arange(L) / L, BZ4096)
+    return (*experiments.bz_dual_fields(BZ4096, *lam), experiments.bz_pressure_field(BZ4096, *lam))
+
+
+class TestSlopeNodes:
+    @pytest.mark.parametrize("profile", [HYDRO_PROFILE, Q_COS], ids=["lambda-cos", "q-cos"])
+    def test_node_fields_match_the_sites(self, profile):
+        m, fields = experiments.slope_node_fields(BZ4096, profile, 2048)
+        assert m == 64
+        for L in (256, 2048):
+            sites = site_fields(profile, L)
+            for k, (nodes, exact) in enumerate(zip(fields, sites)):
+                # the momentum's zone sums cancel between +p and -p, so its
+                # round-off, in both fields, scales with the density's size
+                scale = np.max(np.abs(sites[0] if k == 1 else exact))
+                err = np.max(np.abs(experiments.trig_interp(nodes, L, x_offset=0.0) - exact))
+                assert err <= 1e-14 * scale
+
+    @pytest.mark.parametrize("profile", [HYDRO_PROFILE, Q_COS], ids=["lambda-cos", "q-cos"])
+    def test_doubling_stops_at_the_first_tail_at_round_off(self, profile):
+        # at 32 nodes some field's top modes are still above round-off
+        m, fields = experiments.slope_node_fields(BZ4096, profile, 32)
+        modes = np.abs(np.fft.rfft(fields, axis=1))
+        assert m == 32 and modes[:, 9:].max() > experiments.SLOPE_TAIL * modes.max()
+        assert experiments.slope_node_fields(BZ4096, profile, 2048)[0] == 64
+
+    def test_constant_profile_takes_the_first_nodes(self):
+        profile = {"kind": "lambda-cos", "params": {"lam0": 0.4, "lam4": 4.0}}
+        m, fields = experiments.slope_node_fields(BZ4096, profile, 2048)
+        assert m == experiments.SLOPE_NODES == 16
+        assert all(np.ptp(f) <= 1e-15 * np.max(np.abs(f)) for f in fields)
+
+
 class TestExperiments:
-    def test_hydro_compare_small(self, tmp_path):
+    def test_hydro_compare_small(self, tmp_path, monkeypatch):
+        # the slope's fields are evaluated at 16, 32 and 64 nodes, once for
+        # every L
+        sizes = []
+        dual_fields = experiments.bz_dual_fields
+        monkeypatch.setattr(experiments, "bz_dual_fields",
+                            lambda model, *lam: sizes.append(lam[0].size) or dual_fields(model, *lam))
         cfg = small_config("hydro-compare", tmp_path / "h")
         report = experiments.run_hydro_compare(cfg)
+        assert sizes == [16, 32, 64]
         assert (tmp_path / "h" / "hydro_compare.csv").exists()
         assert (tmp_path / "h" / "hydro_slope.csv").exists()
-        assert (tmp_path / "h" / "manifest.json").exists()
+        manifest = json.loads((tmp_path / "h" / "manifest.json").read_text())
+        assert manifest["results"]["slope_nodes"] == 64
         table = report.error_table()
         # constant-lambda comparison happens in the trend check; here just
         # confirm indices cover all (L, ell) cells and both times
