@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checks, experiments
+from . import experiments
 from .config import ExperimentConfig, load_config
 
 _RUNNERS = {
@@ -56,6 +56,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = _config_from_args(args)
     if args.command == "checks":
+        from . import checks
+
         report = checks.run_checks(config, out_dir=args.out)
         n_fail = sum(not r.passed for r in report.results)
         print(f"{len(report.results) - n_fail}/{len(report.results)} checks passed")

@@ -96,16 +96,24 @@ def trig_interp(values: np.ndarray, L: int, x_offset: float) -> np.ndarray:
 
 
 def slope_node_fields(model: eos.EosModel, profile: dict, max_nodes: int):
-    """(M, (rho, mom, e, P)): the Brillouin-zone fields of a profile's
-    multipliers at the M nodes j/M of the unit torus, M as SLOPE_NODES and
-    SLOPE_TAIL set it, but at most the first doubling to reach max_nodes."""
+    """(M, fields): the Brillouin-zone fields (rho, mom, e, P), rows of
+    `fields` (4, M), of a profile's multipliers at the M nodes j/M of the
+    unit torus, M as SLOPE_NODES and SLOPE_TAIL set it, but at most the
+    first doubling to reach max_nodes.  Each doubling evaluates only its
+    new nodes (2k + 1)/(2M), between the M nodes it keeps."""
+
+    def at(X):
+        lam = lam_sites_from_profile(profile, X, model)
+        return np.stack((*bz_dual_fields(model, *lam), bz_pressure_field(model, *lam)))
+
     m = SLOPE_NODES
+    fields = at(np.arange(m) / m)
     while True:
-        lam = lam_sites_from_profile(profile, np.arange(m) / m, model)
-        fields = (*bz_dual_fields(model, *lam), bz_pressure_field(model, *lam))
         modes = np.abs(np.fft.rfft(fields, axis=1))
         if m >= max_nodes or modes[:, m // 4 + 1:].max() <= SLOPE_TAIL * modes.max():
             return m, fields
+        odd = at((2 * np.arange(m) + 1) / (2 * m))
+        fields = np.stack((fields, odd), axis=-1).reshape(len(fields), 2 * m)
         m *= 2
 
 

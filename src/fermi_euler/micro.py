@@ -60,9 +60,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import eigh
-from scipy.linalg.blas import zherk
-from scipy.special import expit
 
 from .eos import brillouin_momenta, chebyshev_coefficients, chebyshev_points
 from .errors import (
@@ -211,6 +208,8 @@ def _require_finite(mat: np.ndarray, name: str) -> None:
 def _gram(w: np.ndarray) -> np.ndarray:
     """w w+ from one Hermitian rank-k update (half the flops of a GEMM),
     mirrored from its lower triangle, so exactly Hermitian."""
+    from scipy.linalg.blas import zherk
+
     low = zherk(1.0, w, lower=1)
     full = low + low.conj().T
     full.flat[:: w.shape[0] + 1] = low.diagonal().real
@@ -228,6 +227,8 @@ def _mode_entropy_terms(kappa: np.ndarray) -> np.ndarray:
     """-n log n - (1 - n) log(1 - n) at n = 1/(1 + e^{-kappa}), which is
     softplus(kappa) - kappa expit(kappa); even in kappa, evaluated without
     cancellation."""
+    from scipy.special import expit
+
     a = np.abs(kappa)
     return np.log1p(np.exp(-a)) + a * expit(-a)
 
@@ -330,6 +331,8 @@ class GaussianState:
         """-tr[C log C + (1 - C) log(1 - C)], from `s_vn` when known."""
         if self.s_vn is not None:
             return self.s_vn
+        from scipy.linalg import eigh
+
         vals = np.clip(eigh(self.chat, eigvals_only=True), 0.0, 1.0)
         return float(-np.sum(_xlogx(vals) + _xlogx(1.0 - vals)))
 
@@ -455,6 +458,8 @@ def _chebyshev_series(a: float, b: float, max_degree: float):
     dropped-coefficient sums are below CHEB_TOL, with that sum; None when n
     would pass max_degree.  The coefficients come from interpolants at
     2 n points or more, whose own coefficients past n are in the sums."""
+    from scipy.special import expit
+
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     size = 64
     while True:
@@ -682,6 +687,9 @@ def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianStat
     plan = _chebyshev_plan(lam_field, CHEB_CROSSOVER * float(lattice.L) ** 3)
     if plan is not None:
         return GaussianState._exact(lattice, *_gibbs_chebyshev(lattice, *plan))
+    from scipy.linalg import eigh
+    from scipy.special import expit
+
     kappa, vecs = eigh(gibbs_exponent(lam_field), overwrite_a=True, check_finite=False)
     offsets = _all_offsets(lattice.L)
     diagonals = _to_diagonals(_gram(vecs * np.sqrt(expit(kappa))), offsets)
@@ -926,6 +934,8 @@ def rel_entropy_gaussian(
     """
     if gamma.L != omega.lattice.L:
         raise ValueError("states live on different lattices")
+    from scipy.linalg import eigh
+
     if isinstance(omega, MultiplierField):
         lam = (omega.lam0, omega.lam1, omega.lam4)
         if reference is None:

@@ -1,6 +1,11 @@
 """Harness: config handling, experiment outputs, determinism, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,15 +185,23 @@ class TestSlopeNodes:
 
 class TestExperiments:
     def test_hydro_compare_small(self, tmp_path, monkeypatch):
-        # the slope's fields are evaluated at 16, 32 and 64 nodes, once for
-        # every L
+        # the slope's fields are evaluated once for every L, at 16 nodes and
+        # then at the 16 and 32 nodes each doubling adds: 64 cells for M = 64
         sizes = []
         dual_fields = experiments.bz_dual_fields
         monkeypatch.setattr(experiments, "bz_dual_fields",
                             lambda model, *lam: sizes.append(lam[0].size) or dual_fields(model, *lam))
+        positions = []
+        lam_sites = experiments.lam_sites_from_profile
+        monkeypatch.setattr(experiments, "lam_sites_from_profile",
+                            lambda profile, X, model: positions.append(X) or lam_sites(profile, X, model))
         cfg = small_config("hydro-compare", tmp_path / "h")
         report = experiments.run_hydro_compare(cfg)
-        assert sizes == [16, 32, 64]
+        assert sizes == [16, 16, 32]
+        # no node is evaluated twice: the three sets make up the 64 nodes j/64,
+        # then each L's sites follow
+        assert [X.size for X in positions] == [16, 16, 32, 64, 128]
+        assert np.array_equal(np.sort(np.concatenate(positions[:3])), np.arange(64) / 64)
         assert (tmp_path / "h" / "hydro_compare.csv").exists()
         assert (tmp_path / "h" / "hydro_slope.csv").exists()
         manifest = json.loads((tmp_path / "h" / "manifest.json").read_text())
@@ -488,6 +501,53 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "cli_er" / "manifest.json").exists()
+
+    def test_commands_import_only_the_scipy_they_run(self, tmp_path):
+        # a fresh process, as the CLI starts: the modules loaded by importing
+        # cli and config and loading a config, then by small euler-run,
+        # rate-scan and eos-table runs, none of which needs scipy's linear
+        # algebra, special functions or quadrature, the dense entropy oracle
+        # or the check registry
+        configs = {
+            "euler-run": {"n_cells": 32, "times": [0.0, 0.005], "table": SMALL_TABLE},
+            "rate-scan": {"eos_domain": "unbounded", "extra": {"rate_scan": {"points": 5}}},
+            "eos-table": {"table": SMALL_TABLE},
+        }
+        for kind, cfg in configs.items():
+            (tmp_path / f"{kind}.json").write_text(json.dumps({"kind": kind, **cfg}))
+        script = textwrap.dedent("""
+            import json
+            import sys
+            from pathlib import Path
+
+            from fermi_euler.harness import cli, config
+
+            tmp, bench = Path(sys.argv[1]), sys.argv[2]
+            config.load_config(tmp / "euler-run.json")
+            loaded = {"start": sorted(sys.modules)}
+            for kind in ("euler-run", "rate-scan", "eos-table"):
+                code = cli.main([kind, "--config", str(tmp / f"{kind}.json"),
+                                 "--out", str(tmp / kind)])
+                assert code == 0 and (tmp / kind / "manifest.json").is_file()
+            loaded["runs"] = sorted(sys.modules)
+            sys.path.insert(0, bench)
+            import tracing
+
+            loaded["traced"] = sorted(module for module, _ in tracing.TARGETS.values())
+            print(json.dumps(loaded))
+        """)
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(experiments.__file__).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(root / "perfbench")],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        deferred = {"scipy.linalg", "scipy.special", "scipy.integrate", "scipy.optimize",
+                    "fermi_euler.entropy", "fermi_euler.harness.checks"}
+        assert deferred.isdisjoint(loaded["start"])
+        # perfbench's tracer finds every layer it wraps among the loaded modules
+        assert set(loaded["traced"]) <= set(loaded["start"])
+        assert deferred.isdisjoint(loaded["runs"])
 
     def test_cli_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
