@@ -125,10 +125,6 @@ class ConservedVector:
         return self.mom.size
 
     @property
-    def velocity(self) -> np.ndarray:
-        return self.mom / self.rho
-
-    @property
     def e_internal(self) -> float:
         """Rest-frame internal energy e - |mom|^2 / (2 rho)."""
         return float(self.e - 0.5 * (self.mom @ self.mom) / self.rho)

@@ -16,6 +16,11 @@ solutions.  Each stage calls the closure once per state, for P and both
 partials, and `run` chooses dt from the speeds that the first stage then
 reuses.
 
+Initial data come from a named profile: `profile_fields` evaluates its
+three fields, and `initial_q_field` takes them at the cell centres,
+dualizing multiplier fields to densities.  The lattice side reads the
+same fields at its sites, so both sides start from one evaluation.
+
 The solver guards the one-phase region (finite densities, rho > 0 and
 internal energy above the zero-temperature floor) once on every state it
 makes, where the state's closure values are first needed or where `run`
@@ -278,46 +283,45 @@ def lambda_field_of(
 # ---------------------------------------------------------------------------
 
 
-def profile_callables(kind: str, params: dict):
-    """Named analytic profiles for initial data.
+# the three fields of each profile kind, in the order profile_fields returns them
+PROFILE_FIELDS = {"lambda-cos": ("lam0", "lam1", "lam4"), "q-cos": ("rho", "mom", "e")}
 
-    "lambda-cos": multiplier fields lam_mu(X) = base + amp*cos(2 pi X + phase)
-    (keys lam0/lam1/lam4 + *_amp, *_phase); the corresponding q(X) follows by
-    dualization.  "q-cos": direct (rho, mom, e) cosines (keys rho/mom/e + ...).
-    Returns a dict of callables X -> value.
-    """
 
-    def cos_profile(base, amp, phase):
-        return lambda X: base + amp * np.cos(2.0 * np.pi * np.asarray(X, dtype=float) + phase)
+def profile_names(kind: str, params: dict) -> tuple:
+    """The field names of a profile kind, once every params key is one of
+    them, <name>_amp or <name>_phase; raises ValueError naming an unknown
+    kind or key."""
+    if kind not in PROFILE_FIELDS:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    names = PROFILE_FIELDS[kind]
+    keys = {name + suffix for name in names for suffix in ("", "_amp", "_phase")}
+    for key in params:
+        if key not in keys:
+            raise ValueError(f"unknown {kind} profile key {key!r}")
+    return names
 
-    if kind == "lambda-cos":
-        return {
-            name: cos_profile(
-                params.get(name, 0.0),
-                params.get(f"{name}_amp", 0.0),
-                params.get(f"{name}_phase", 0.0),
-            )
-            for name in ("lam0", "lam1", "lam4")
-        }
-    if kind == "q-cos":
-        return {
-            name: cos_profile(
-                params.get(name, 0.0),
-                params.get(f"{name}_amp", 0.0),
-                params.get(f"{name}_phase", 0.0),
-            )
-            for name in ("rho", "mom", "e")
-        }
-    raise ValueError(f"unknown profile kind {kind!r}")
+
+def profile_fields(kind: str, params: dict, X) -> np.ndarray:
+    """A named analytic profile's three fields at torus positions X, shape
+    X.shape + (3,): each is base + amp * cos(2 pi X + phase), with the keys
+    <name>, <name>_amp and <name>_phase of params, a missing key reading as 0.
+
+    "lambda-cos" gives the multipliers (lam0, lam1, lam4), whose densities
+    follow by dualization; "q-cos" gives the densities (rho, mom, e)."""
+    X = np.asarray(X, dtype=float)
+    return np.stack([
+        params.get(name, 0.0)
+        + params.get(f"{name}_amp", 0.0)
+        * np.cos(2.0 * np.pi * X + params.get(f"{name}_phase", 0.0))
+        for name in profile_names(kind, params)
+    ], axis=-1)
 
 
 def initial_q_field(kind: str, params: dict, grid: MacroGrid, model: eos.EosModel) -> ConservedField:
-    """Evaluate a named profile as cellwise conserved data (dualizing
-    multiplier profiles by one `eos.moments` over all cells)."""
-    calls = profile_callables(kind, params)
-    x = grid.centers
-    if kind == "q-cos":
-        return ConservedField(rho=calls["rho"](x), mom=calls["mom"](x), e=calls["e"](x))
-    lam = np.stack([calls["lam0"](x), calls["lam1"](x), calls["lam4"](x)], axis=-1)
-    signed = eos.moments(model, lam)[1]
-    return ConservedField(rho=signed[:, 0], mom=signed[:, 1], e=-signed[:, 2])
+    """A named profile as cellwise conserved data at the cell centres (a
+    multiplier profile dualized by one `eos.moments` over all cells that
+    evaluates the densities alone)."""
+    fields = profile_fields(kind, params, grid.centers)
+    if kind == "lambda-cos":
+        fields = eos.moments(model, fields, psi=False, hess=False)[1] * [1.0, 1.0, -1.0]
+    return ConservedField.from_stack(np.ascontiguousarray(fields.T))

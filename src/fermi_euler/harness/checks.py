@@ -199,18 +199,18 @@ def check_ldp_rate(rng, tol):
             rng.uniform(0.7, 2.5), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
         )
         q = eos.dual_q(M1_UNBOUNDED, lam_q)
-        min_rate = min(min_rate, ldp.rate_I(M1_UNBOUNDED, q, lam_ref).rate)
+        min_rate = min(min_rate, ldp.rate_I(M1_UNBOUNDED, q, lam_ref))
     out.append(_res("ldp.rate_nonnegative", -min_rate, tol("rate_nonneg", 1e-12),
                     note="-min I over 30 samples"))
     lam = eos.MultiplierVector.from_physical(1.0, 0.0, 0.0)
     q0 = eos.dual_q(M1_UNBOUNDED, lam)
-    out.append(_res("ldp.rate_zero_at_dual", ldp.rate_I(M1_UNBOUNDED, q0, lam).rate,
+    out.append(_res("ldp.rate_zero_at_dual", ldp.rate_I(M1_UNBOUNDED, q0, lam),
                     tol("rate_zero", 1e-10)))
     eigs = np.linalg.eigvalsh(ldp.hessian_rate(M1_UNBOUNDED, q0))
     out.append(_res("ldp.rate_hessian_min_eig", eigs.min(), tol("rate_hessian", 1e-12),
                     mode="ge", note="positive definite at the minimum"))
     trunc = ldp.rate_I_truncated(M1_UNBOUNDED, q0, lam, eta=0.05)
-    full = ldp.rate_I(M1_UNBOUNDED, q0, lam).rate
+    full = ldp.rate_I(M1_UNBOUNDED, q0, lam)
     out.append(_res("ldp.truncated_equals_full_near_minimum", abs(trunc - full),
                     tol("rate_truncated", 1e-10), note="eta = 0.05"))
     return out

@@ -58,8 +58,11 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
+        from .. import euler
+
         if self.kind not in self.VALID_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        euler.profile_names(self.profile["kind"], self.profile["params"])
         for L in self.l_list:
             ell = L // self.ell_ratio
             if not 8 <= ell <= L // 4:

@@ -1,5 +1,11 @@
 """The commuting-diagram experiments and the file-emitting run kinds.
 
+Every experiment starts from the config's profile, evaluated by
+`euler.profile_fields`: its multipliers at the lattice sites give the local
+Gibbs state (`lam_sites_from_profile`), and its densities at the cell
+centres start the Euler run, which hydro-compare, entropy-track and
+euler-run set up alike (`_euler_trajectory`).
+
 hydro-compare builds the local Gibbs state from the initial multiplier
 profile, evolves it microscopically to t = T/epsilon, coarse-grains, runs
 the Euler side to T, and tabulates the error functional
@@ -127,18 +133,26 @@ def macro_spectral_derivative(field: np.ndarray) -> np.ndarray:
 
 
 def lam_sites_from_profile(profile: dict, X: np.ndarray, model: eos.EosModel):
-    """Multiplier fields of a named profile at torus positions X (a
-    `q-cos` profile is inverted by one `eos.invert` over all sites)."""
-    calls = euler.profile_callables(profile["kind"], profile["params"])
-    ones = np.ones_like(X)
-    if profile["kind"] == "lambda-cos":
-        return (
-            calls["lam0"](X) * ones,
-            calls["lam1"](X) * ones,
-            calls["lam4"](X) * ones,
-        )
-    q = np.stack([calls["rho"](X), calls["mom"](X), calls["e"](X)], axis=-1)
-    return tuple(np.ascontiguousarray(eos.invert(model, q).T))
+    """Multiplier fields (lam0, lam1, lam4) of a named profile at torus
+    positions X, from `euler.profile_fields` (a `q-cos` profile's densities
+    inverted by one `eos.invert` over all sites)."""
+    fields = euler.profile_fields(profile["kind"], profile["params"], X)
+    if profile["kind"] == "q-cos":
+        fields = eos.invert(model, fields)
+    return tuple(np.ascontiguousarray(fields.T))
+
+
+def _euler_trajectory(config: ExperimentConfig, stops: list):
+    """(model, closure, grid, trajectory): the config's EOS model, pressure
+    closure and grid, and the Euler run of its profile's initial cells to
+    the last report time, stopping at each time in stops."""
+    model = config.eos_model()
+    closure = config.closure()
+    grid = euler.MacroGrid(config.n_cells)
+    q0 = euler.initial_q_field(config.profile["kind"], config.profile["params"], grid, model)
+    traj = euler.run(q0, config.report_times[-1], grid, closure, cfl=config.cfl,
+                     snapshot_times=stops)
+    return model, closure, grid, traj
 
 
 def _initial_gibbs(config: ExperimentConfig, L: int, model: eos.EosModel):
@@ -188,15 +202,8 @@ class ConvergenceReport:
 
 
 def run_hydro_compare(config: ExperimentConfig, out_dir=None) -> ConvergenceReport:
-    model = config.eos_model()
-    closure = config.closure()
     times = config.report_times
-    t_max = times[-1]
-    grid = euler.MacroGrid(config.n_cells)
-    q0 = euler.initial_q_field(
-        config.profile["kind"], config.profile["params"], grid, model
-    )
-    traj = euler.run(q0, t_max, grid, closure, cfl=config.cfl, snapshot_times=times)
+    model, _, grid, traj = _euler_trajectory(config, times)
 
     error_rows, slope_rows = [], []
     out = Path(out_dir or config.out_dir)
@@ -283,27 +290,22 @@ def multiplier_rate(sol: euler.EulerSolution, lam: np.ndarray) -> np.ndarray:
     """dlam/dT per cell (n_cells, 3) of the Euler state sol, whose cell
     multipliers are lam (n_cells, 3).  The signed densities (rho, mom, -e)
     are grad psi(lam), so dlam/dT = (Hess psi)^-1 d(rho, mom, -e)/dT, with
-    dq/dT the scheme's own right side and Hess psi from one `eos.moments`."""
+    dq/dT the scheme's own right side and Hess psi from one `eos.moments`
+    that evaluates the Hessian alone."""
     dy = euler.rhs(sol).T * np.array([1.0, 1.0, -1.0])
-    hess = eos.moments(sol.closure.model, lam)[2]
+    hess = eos.moments(sol.closure.model, lam, psi=False, grad=False)[2]
     return np.linalg.solve(hess, dy[..., None])[..., 0]
 
 
 def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
-    model = config.eos_model()
-    closure = config.closure()
     times = config.report_times
-    grid = euler.MacroGrid(config.n_cells)
-    q0 = euler.initial_q_field(
-        config.profile["kind"], config.profile["params"], grid, model
-    )
 
     # one forward run that stops at each time T and at T - h, the centred
     # difference's near end, h = FD_STEP shrunk to T itself for T < FD_STEP;
     # its far end T + h is two steps of h from the T - h stop
     steps = {t: min(FD_STEP, t) for t in times if t > 0.0}
     stops = sorted(set(times) | {t - h for t, h in steps.items()})
-    traj = euler.run(q0, times[-1], grid, closure, cfl=config.cfl, snapshot_times=stops)
+    model, closure, grid, traj = _euler_trajectory(config, stops)
 
     def solution(t: float) -> euler.EulerSolution:
         return euler.EulerSolution(grid, traj.at(t), t, closure, config.cfl)
@@ -392,14 +394,8 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
 
 def run_euler(config: ExperimentConfig, out_dir=None) -> Path:
     """euler-run: CSV per snapshot (X, rho, mom, e, P) plus the manifest."""
-    model = config.eos_model()
-    closure = config.closure()
-    grid = euler.MacroGrid(config.n_cells)
-    q0 = euler.initial_q_field(
-        config.profile["kind"], config.profile["params"], grid, model
-    )
     times = config.report_times
-    traj = euler.run(q0, times[-1], grid, closure, cfl=config.cfl, snapshot_times=times)
+    _, closure, grid, traj = _euler_trajectory(config, times)
     out = Path(out_dir or config.out_dir)
     for t, q in zip(traj.times, traj.snapshots):
         if t not in times:

@@ -24,25 +24,11 @@ stopped by the KKT conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import eos
 from .errors import NoConvergence, OutOfDomain
 from .eos import ConservedVector, EosModel, MultiplierVector
-
-
-@dataclass(frozen=True)
-class RateEvaluation:
-    """One rate-function evaluation: the entropy piece, the rate, and the
-    multiplier achieving the sup."""
-
-    q_prime: ConservedVector
-    lam: MultiplierVector
-    s_value: float
-    rate: float
-    maximizer: MultiplierVector
 
 
 def entropy_s(model: EosModel, q_prime: ConservedVector) -> tuple[float, MultiplierVector]:
@@ -56,13 +42,10 @@ def entropy_s(model: EosModel, q_prime: ConservedVector) -> tuple[float, Multipl
     return float(s_val), lam_star
 
 
-def rate_I(model: EosModel, q_prime: ConservedVector, lam: MultiplierVector) -> RateEvaluation:
+def rate_I(model: EosModel, q_prime: ConservedVector, lam: MultiplierVector) -> float:
     """Rate function I(q', lam) = s(q') + psi(lam) - lam . q'."""
-    s_val, lam_star = entropy_s(model, q_prime)
-    rate = s_val + eos.pressure_psi(model, lam) - lam.pair(q_prime)
-    return RateEvaluation(
-        q_prime=q_prime, lam=lam, s_value=s_val, rate=float(rate), maximizer=lam_star
-    )
+    s_val = entropy_s(model, q_prime)[0]
+    return float(s_val + eos.pressure_psi(model, lam) - lam.pair(q_prime))
 
 
 def rates(model: EosModel, q_prime, lam: MultiplierVector) -> np.ndarray:

@@ -423,6 +423,45 @@ class TestLambdaField:
             lambda_field_of(bad, MODEL)
 
 
+class TestProfile:
+    PARAMS = {
+        "lambda-cos": dict(BUMP, lam0_phase=0.3),
+        "q-cos": {"rho": 0.177, "rho_amp": 0.01, "mom_amp": 0.01, "mom_phase": 0.5,
+                  "e": 0.048, "e_amp": 0.0025},
+    }
+
+    @pytest.mark.parametrize("kind", ["lambda-cos", "q-cos"])
+    @pytest.mark.parametrize("X", [np.linspace(0.0, 1.0, 7).reshape(7, 1) * [1.0, 0.5],
+                                   0.3], ids=["array", "scalar"])
+    def test_fields_match_the_closed_form(self, kind, X):
+        params = self.PARAMS[kind]
+        names = {"lambda-cos": ("lam0", "lam1", "lam4"), "q-cos": ("rho", "mom", "e")}[kind]
+        out = euler_module.profile_fields(kind, params, X)
+        assert out.shape == np.shape(X) + (3,)
+        for j, name in enumerate(names):
+            expect = params.get(name, 0.0) + params.get(name + "_amp", 0.0) * np.cos(
+                2.0 * np.pi * np.asarray(X) + params.get(name + "_phase", 0.0))
+            assert np.array_equal(out[..., j], expect)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("lambda-cos", {"lam0": 0.25, "lam4amp": 0.25}, "profile key 'lam4amp'"),
+        ("lambda-cos", {"rho": 0.2}, "profile key 'rho'"),
+        ("q-cos", {"rho": 0.2, "lam4": 2.5}, "profile key 'lam4'"),
+        ("sin", {}, "unknown profile kind 'sin'"),
+    ], ids=["misspelt", "other-kind-key", "q-cos", "kind"])
+    def test_unknown_kind_or_key_raises(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            euler_module.profile_fields(kind, params, 0.5)
+        with pytest.raises(ValueError, match=message):
+            initial_q_field(kind, params, MacroGrid(8), MODEL)
+
+    def test_q_cos_cells_are_the_profile(self):
+        grid = MacroGrid(16)
+        q = initial_q_field("q-cos", self.PARAMS["q-cos"], grid, MODEL)
+        fields = euler_module.profile_fields("q-cos", self.PARAMS["q-cos"], grid.centers)
+        assert np.array_equal(q.stack(), fields.T)
+
+
 class TestPositivity:
     def test_shipped_case_stays_in_domain(self, closure):
         traj = run(bump_field(128), 0.05, MacroGrid(128), closure)

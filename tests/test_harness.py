@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermi_euler import eos
+from fermi_euler import eos, euler
 from fermi_euler.harness import checks, experiments
 from fermi_euler.harness.cli import main as cli_main
 from fermi_euler.harness.config import ExperimentConfig, load_config, write_manifest
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_TABLE = {"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065], "resolution": [16, 16]}
 
 
@@ -72,6 +73,31 @@ class TestConfig:
         ExperimentConfig(table={"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065]}).closure()
         assert seen == [eos.TABLE_RESOLUTION]
 
+    @pytest.mark.parametrize("profile, message", [
+        ({"kind": "lambda-cos", "params": {"lam0": 0.25, "lam4": 2.5, "lam4amp": 0.25}},
+         "unknown lambda-cos profile key 'lam4amp'"),
+        ({"kind": "q-cos", "params": {"rho": 0.2, "e_ampl": 0.01}},
+         "unknown q-cos profile key 'e_ampl'"),
+        ({"kind": "rho-cos", "params": {}}, "unknown profile kind 'rho-cos'"),
+    ], ids=["misspelt", "q-cos", "kind"])
+    def test_profile_validated_before_the_table(self, profile, message, monkeypatch):
+        monkeypatch.setattr(eos, "tabulate", lambda *args: pytest.fail("table built"))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind="euler-run", profile=profile, table=SMALL_TABLE)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_config_starts_inside_its_table(self, path):
+        # a profile edit that leaves the table's rectangle (or the one-phase
+        # region) fails here, not in the closure at run time
+        cfg = load_config(path)
+        model = cfg.eos_model()
+        q = euler.initial_q_field(cfg.profile["kind"], cfg.profile["params"],
+                                  euler.MacroGrid(cfg.n_cells), model)
+        (rho_lo, rho_hi), (eint_lo, eint_hi) = cfg.table["rho_range"], cfg.table["eint_range"]
+        assert rho_lo < q.rho.min() and q.rho.max() < rho_hi
+        assert eint_lo < q.e_internal.min() and q.e_internal.max() < eint_hi
+        assert np.all(q.e_internal > eos.energy_floor(model, q.rho))
+
     def test_tolerance_override(self):
         cfg = ExperimentConfig(tolerances={"virial": 0.5})
         assert cfg.tolerance("virial", 1e-8) == 0.5
@@ -121,6 +147,15 @@ class TestHelpers:
         f = np.sin(2 * np.pi * xs)
         df = experiments.macro_spectral_derivative(f)
         assert np.max(np.abs(df - 2 * np.pi * np.cos(2 * np.pi * xs))) < 1e-10
+
+    def test_initial_cells_are_the_site_densities(self):
+        # one evaluator serves both sides: a lambda-cos profile's Euler cells
+        # are bitwise its multipliers' densities at the same positions
+        grid = euler.MacroGrid(64)
+        q = euler.initial_q_field("lambda-cos", HYDRO_PROFILE["params"], grid, BZ4096)
+        lam = experiments.lam_sites_from_profile(HYDRO_PROFILE, grid.centers, BZ4096)
+        for cells, sites in zip(q.stack(), experiments.bz_dual_fields(BZ4096, *lam)):
+            assert np.array_equal(cells, sites)
 
     def test_bz_dual_fields_match_pointwise(self):
         model = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=512)
@@ -253,8 +288,6 @@ class TestExperiments:
         # difference of the inverted multipliers across two Heun steps of h;
         # the gap is second order in h: 1.9e-7 at h = 1e-4, 2.7e-9 at 1e-5
         # (relative to each component's largest |rate|)
-        from fermi_euler import euler
-
         cfg = small_config("entropy-track", "unused")
         model, closure = cfg.eos_model(), cfg.closure()
         grid = euler.MacroGrid(cfg.n_cells)
@@ -271,8 +304,6 @@ class TestExperiments:
         assert np.all(np.abs(rate - fd).max(axis=0) <= 1e-8 * scale)
 
     def test_entropy_track_inverts_each_snapshot_once(self, tmp_path, monkeypatch):
-        from fermi_euler import euler
-
         inverted = []
         lambda_field_of = euler.lambda_field_of
 
@@ -315,8 +346,6 @@ class TestExperiments:
     def test_entropy_track_difference_steps_within_the_cfl_bound(self, tmp_path, monkeypatch):
         # on 2048 cells the CFL step is below the difference's h = 2e-4, so
         # each of the two steps of h is cut into equal steps within it
-        from fermi_euler import euler
-
         dts = []
         step = euler.step
 
@@ -399,7 +428,7 @@ class TestExperiments:
         for line in lines:
             rho, e, rate = map(float, line.split(","))
             cold = ldp.rate_I(model, eos.ConservedVector(rho=rho, mom=mom, e=e), lam)
-            assert rate == pytest.approx(cold.rate, abs=1e-12)
+            assert rate == pytest.approx(cold, abs=1e-12)
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg_a = small_config("hydro-compare", tmp_path / "a", l_list=[64])

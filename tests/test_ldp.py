@@ -69,7 +69,7 @@ class TestRate:
     def test_zero_at_dual(self):
         lam = lam_phys(1.0, 0.0, 0.0)
         q = eos.dual_q(M1, lam)
-        assert ldp.rate_I(M1, q, lam).rate < 1e-10
+        assert ldp.rate_I(M1, q, lam) < 1e-10
 
     def test_quadratic_behavior(self):
         lam = lam_phys(1.0, 0.0, 0.0)
@@ -77,7 +77,7 @@ class TestRate:
         H = ldp.hessian_rate(M1, q)
         delta = 1e-3
         qp = ConservedVector(rho=q.rho + delta, mom=q.mom, e=q.e)
-        rate = ldp.rate_I(M1, qp, lam).rate
+        rate = ldp.rate_I(M1, qp, lam)
         assert rate == pytest.approx(0.5 * delta**2 * H[0, 0], rel=0.1)
 
     @pytest.mark.parametrize("beta,alpha,mu", [(1.0, 0.0, 0.0), (1.8, 0.3, 0.4)])
@@ -117,7 +117,7 @@ class TestRate:
                 rng.uniform(0.7, 2.5), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
             )
             q = eos.dual_q(M1, lam_q)
-            rate = ldp.rate_I(M1, q, lam_ref).rate
+            rate = ldp.rate_I(M1, q, lam_ref)
             assert rate >= -1e-12
             gap = np.max(np.abs(lam_q.as_array() - lam_ref.as_array()))
             if rate < 1e-10:
@@ -144,7 +144,7 @@ class TestBatchedRates:
         raised = {NoConvergence: 0, OutOfDomain: 0}
         for idx in np.ndindex(7, 7):
             try:
-                cold = ldp.rate_I(model, ConservedVector.from_array(q[idx]), lam).rate
+                cold = ldp.rate_I(model, ConservedVector.from_array(q[idx]), lam)
             except (NoConvergence, OutOfDomain) as err:
                 raised[type(err)] += 1
                 assert np.isnan(rates[idx])
@@ -158,7 +158,7 @@ class TestTruncatedRate:
     def test_interior_equals_full(self):
         lam = lam_phys(1.0, 0.0, 0.0)
         q = eos.dual_q(M1, lam)
-        full = ldp.rate_I(M1, q, lam).rate
+        full = ldp.rate_I(M1, q, lam)
         trunc = ldp.rate_I_truncated(M1, q, lam, eta=0.05)
         assert trunc < 1e-10
         assert full < 1e-10
@@ -168,7 +168,7 @@ class TestTruncatedRate:
         # unconstrained maximizer at beta = 0.2 exits the eta = 0.3 box
         q_hot = eos.dual_q(M1, lam_phys(0.2, 0.0, -1.0))
         lam_ref = lam_phys(1.0, 0.0, 0.0)
-        full = ldp.rate_I(M1, q_hot, lam_ref).rate
+        full = ldp.rate_I(M1, q_hot, lam_ref)
         trunc = ldp.rate_I_truncated(M1, q_hot, lam_ref, eta=0.3)
         assert trunc < full - 1e-6
 
@@ -203,7 +203,7 @@ class TestTruncatedRate:
                 rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)
             )
             q = eos.dual_q(M1, lam_q)
-            full = ldp.rate_I(M1, q, lam_ref).rate
+            full = ldp.rate_I(M1, q, lam_ref)
             for eta in (0.05, 0.2, 0.6):
                 assert ldp.rate_I_truncated(M1, q, lam_ref, eta) <= full + 1e-10
 
