@@ -17,11 +17,11 @@ euler    : finite-volume solver for the 1D Euler system with the quantum closure
 harness  : experiment orchestration, invariant checks, and the CLI
 
 `import fermi_euler` loads eos, euler, ldp and micro, which need numpy
-alone: each scipy part is imported by the function that uses it
-(`scipy.linalg` for micro's dense Gibbs builds and spectra, `scipy.special`
-for its Fermi factors and mode entropies).  `entropy`, the `scipy.linalg`
-dense oracle that the checks and tests use, is not loaded here: import it
-by name, `from fermi_euler import entropy`.
+alone: `scipy.linalg` is imported by the functions that use it, micro's
+dense Gibbs builds and spectra, and micro's Fermi factors are numpy's
+(`eos.fermi`).  `entropy`, the `scipy.linalg` dense oracle that the checks
+and tests use, is not loaded here: import it by name,
+`from fermi_euler import entropy`.
 """
 
 __version__ = "0.1.0"

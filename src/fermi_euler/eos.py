@@ -215,6 +215,13 @@ def _fermi(g: np.ndarray, f: np.ndarray, hole: np.ndarray):
     return f, hole
 
 
+def fermi(x) -> np.ndarray:
+    """The Fermi factor 1/(1 + e^-x) elementwise, as `_fermi` computes f,
+    with x cut to [-700, 700] first: within 1e-304 of 0 or 1 past the cut,
+    and no exp over- or underflows.  For callers outside the kernel."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -700.0, 700.0)))
+
+
 # Work arrays of the kernel's blocks and of `EosTable.evaluate`: one flat
 # buffer per thread, grown to the largest request and reused by every later
 # call.  Arrays of a block's size sit above glibc's mmap threshold, so

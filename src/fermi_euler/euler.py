@@ -269,12 +269,14 @@ def run(
 
 
 def lambda_field_of(
-    qfield: ConservedField, model: eos.EosModel
+    qfield: ConservedField, model: eos.EosModel, guess=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cellwise dual inversion by one `eos.invert` over all cells:
-    multiplier fields (lam0, lam1, lam4) with dual_q(lam(X)) = q(X); raises
-    OutOfDomain naming the offending cell."""
-    lam = eos.invert(model, qfield.stack().T)
+    multiplier fields (lam0, lam1, lam4) with dual_q(lam(X)) = q(X), the
+    Newton started from `guess`, three fields as this returns them, or from
+    the crossover guess; raises OutOfDomain naming the offending cell."""
+    start = None if guess is None else np.stack(guess, axis=-1)
+    lam = eos.invert(model, qfield.stack().T, guess=start)
     return tuple(np.ascontiguousarray(lam.T))
 
 

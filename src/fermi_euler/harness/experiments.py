@@ -310,8 +310,9 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
     def solution(t: float) -> euler.EulerSolution:
         return euler.EulerSolution(grid, traj.at(t), t, closure, config.cfl)
 
-    def multipliers(q: euler.ConservedField) -> np.ndarray:
-        return np.stack(euler.lambda_field_of(q, model), axis=-1)
+    def multipliers(q: euler.ConservedField, guess) -> np.ndarray:
+        start = None if guess is None else guess.T
+        return np.stack(euler.lambda_field_of(q, model, start), axis=-1)
 
     def far_end(t: float, h: float) -> euler.ConservedField:
         """The state at t + h: two steps of h from the stop at t - h, each cut
@@ -326,11 +327,21 @@ def run_entropy_track(config: ExperimentConfig, out_dir=None) -> EntropyReport:
         return sol.guarded_q
 
     # each snapshot's cell multipliers, inverted once for every L, their rate
-    # at the report times, and those at both ends of each difference
-    cells = {t: multipliers(traj.at(t)) for t in times}
+    # at the report times, and those at both ends of each difference.  Each
+    # Newton starts from multipliers at hand: the first from a multiplier
+    # profile's own (at T = 0 the cells are their exact duals), each later
+    # one from the previous report time's, both ends of a difference from
+    # their own T's
+    profile = config.profile
+    guess = None
+    if profile["kind"] == "lambda-cos":
+        guess = euler.profile_fields(profile["kind"], profile["params"], grid.centers)
+    cells = {}
+    for t in times:
+        cells[t] = guess = multipliers(traj.at(t), guess)
     rates = {t: multiplier_rate(solution(t), cells[t]) for t in times}
     ends = {
-        t: (multipliers(traj.at(t - h)), multipliers(far_end(t, h)))
+        t: (multipliers(traj.at(t - h), cells[t]), multipliers(far_end(t, h), cells[t]))
         for t, h in steps.items()
     }
 

@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .eos import brillouin_momenta, chebyshev_coefficients, chebyshev_points
+from .eos import brillouin_momenta, chebyshev_coefficients, chebyshev_points, fermi
 from .errors import (
     BadWindow,
     CutoffTooLarge,
@@ -149,9 +149,14 @@ def _all_offsets(L: int) -> np.ndarray:
     return np.arange(-((L - 1) // 2), L // 2 + 1)
 
 
-def _diagonal_slices(L: int, r: int):
+def _diagonal_slices(L: int, r: int, fortran: bool = False):
     """Flat positions in an L x L matrix of its wrapped diagonal q - k = r
-    (0 <= r < L): rows k < L - r, then the rows that wrap."""
+    (0 <= r < L): rows k < L - r, then the rows that wrap.  In C order; in
+    Fortran order, where entry [k, q] sits at C's [q, k], they are the C
+    positions of the diagonal L - r, its two parts swapped."""
+    if fortran:
+        head, wrap = _diagonal_slices(L, L - r)
+        return wrap, head
     return slice(r, r + (L - r) * (L + 1), L + 1), slice(L * (L - r), L * L, L + 1)
 
 
@@ -168,14 +173,16 @@ def _to_diagonals(chat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _to_dense(diagonals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _to_dense(diagonals: np.ndarray, offsets: np.ndarray, fortran: bool = False) -> np.ndarray:
     """The L x L matrix whose wrapped diagonals are `diagonals`, zero
-    elsewhere: the inverse of `_to_diagonals`."""
+    elsewhere: the inverse of `_to_diagonals`; Fortran-ordered on request,
+    for LAPACK to overwrite in place of a copy."""
     L = diagonals.shape[1]
-    out = np.zeros((L, L), dtype=complex)
-    flat = out.reshape(-1)
+    order = "F" if fortran else "C"
+    out = np.zeros((L, L), dtype=complex, order=order)
+    flat = out.reshape(-1, order=order)
     for i, r in enumerate(offsets % L):
-        head, wrap = _diagonal_slices(L, int(r))
+        head, wrap = _diagonal_slices(L, int(r), fortran)
         flat[head] = diagonals[i, : L - r]
         flat[wrap] = diagonals[i, L - r:]
     return out
@@ -205,15 +212,24 @@ def _require_finite(mat: np.ndarray, name: str) -> None:
         raise NonFinite(f"{name} is not finite at entry ({i}, {j})")
 
 
-def _gram(w: np.ndarray) -> np.ndarray:
-    """w w+ from one Hermitian rank-k update (half the flops of a GEMM),
-    mirrored from its lower triangle, so exactly Hermitian."""
-    from scipy.linalg.blas import zherk
-
-    low = zherk(1.0, w, lower=1)
-    full = low + low.conj().T
-    full.flat[:: w.shape[0] + 1] = low.diagonal().real
-    return full
+def _lower_diagonals(low: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """D[i, k] = G[k, (k + offsets[i]) mod L] of the Hermitian G whose lower
+    triangle a Fortran-ordered `low` holds, as `zherk` returns it: above the
+    main diagonal G[k, q] = conj(G[q, k]), and the main diagonal is real, so
+    D is exactly Hermitian and no mirrored full matrix is built.  The upper
+    triangle of `low` is not read."""
+    L = low.shape[0]
+    # Fortran order keeps the lower diagonal low[k + d, k] (d >= 0) where C
+    # order keeps the upper one [k, k + d]
+    flat = low.reshape(-1, order="F")
+    out = np.empty((offsets.size, L), dtype=complex)
+    for i, r in enumerate(offsets % L):
+        # G[k, k + r] = conj(low[k + r, k]) for k < L - r; the rows that wrap
+        # are below the diagonal, G[k, k + r - L] = low[k, k + r - L]
+        np.conjugate(flat[_diagonal_slices(L, int(r))[0]], out=out[i, : L - r])
+        out[i, L - r:] = flat[_diagonal_slices(L, int(L - r))[0]]
+    out[-offsets[0]].imag = 0.0
+    return out
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
@@ -227,10 +243,8 @@ def _mode_entropy_terms(kappa: np.ndarray) -> np.ndarray:
     """-n log n - (1 - n) log(1 - n) at n = 1/(1 + e^{-kappa}), which is
     softplus(kappa) - kappa expit(kappa); even in kappa, evaluated without
     cancellation."""
-    from scipy.special import expit
-
     a = np.abs(kappa)
-    return np.log1p(np.exp(-a)) + a * expit(-a)
+    return np.log1p(np.exp(-a)) + a * fermi(-a)
 
 
 def _mode_entropy(kappa: np.ndarray) -> float:
@@ -333,7 +347,8 @@ class GaussianState:
             return self.s_vn
         from scipy.linalg import eigh
 
-        vals = np.clip(eigh(self.chat, eigvals_only=True), 0.0, 1.0)
+        chat = _to_dense(self.diagonals, self.offsets, fortran=True)
+        vals = np.clip(eigh(chat, eigvals_only=True, overwrite_a=True), 0.0, 1.0)
         return float(-np.sum(_xlogx(vals) + _xlogx(1.0 - vals)))
 
 
@@ -406,11 +421,13 @@ def gibbs_exponent(lam_field: MultiplierField) -> np.ndarray:
 
     with lamhat[m] = (1/L) sum_x lam(x) e^{-2 pi i m x / L} and k - q taken
     mod L.  For constant multipliers Khat is diagonal with symbol
-    lam0 + lam1 p - lam4 p^2 / 2.
+    lam0 + lam1 p - lam4 p^2 / 2.  Fortran-ordered, so that LAPACK
+    overwrites it in place of a copy.
     """
     p = lam_field.lattice.momenta
     modes = _field_modes(lam_field.lam0, lam_field.lam1, lam_field.lam4)
-    return _exponent_entries(*(_circulant(m) for m in modes), p[:, None], p)
+    out = np.empty((p.size, p.size), dtype=complex, order="F")
+    return _exponent_entries(*(_circulant(m) for m in modes), p[:, None], p, out)
 
 
 def _field_modes(lam0, lam1, lam4) -> list:
@@ -418,12 +435,12 @@ def _field_modes(lam0, lam1, lam4) -> list:
     return [np.fft.fft(f) / f.size for f in (lam0, lam1, lam4)]
 
 
-def _exponent_entries(l0, l1, l4, p_k, p_q) -> np.ndarray:
+def _exponent_entries(l0, l1, l4, p_k, p_q, out=None) -> np.ndarray:
     """lam0hat + lam1hat (p_k + p_q)/2 - p_k p_q lam4hat/2 elementwise, with
     each lamhat taken at k - q: the one formula for Khat's entries, in
     whatever layout the broadcast arguments give (dense or wrapped
-    diagonals)."""
-    out = l4 * (-0.5 * p_q)
+    diagonals), into `out` when given."""
+    out = np.multiply(l4, -0.5 * p_q, out=out)
     out += 0.5 * l1
     out *= p_k
     out += l1 * (0.5 * p_q)
@@ -458,13 +475,11 @@ def _chebyshev_series(a: float, b: float, max_degree: float):
     dropped-coefficient sums are below CHEB_TOL, with that sum; None when n
     would pass max_degree.  The coefficients come from interpolants at
     2 n points or more, whose own coefficients past n are in the sums."""
-    from scipy.special import expit
-
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     size = 64
     while True:
         x = mid + half * chebyshev_points(size)
-        coef = [chebyshev_coefficients(f(x)) for f in (expit, _mode_entropy_terms)]
+        coef = [chebyshev_coefficients(f(x)) for f in (fermi, _mode_entropy_terms)]
         # dropped[n] = sum_{m > n} |c_m|, the larger of the two series
         dropped = np.max([np.cumsum(np.abs(c[::-1]))[::-1] for c in coef], axis=0)
         dropped = np.append(dropped[1:], 0.0)
@@ -688,12 +703,19 @@ def gibbs_gaussian(lattice: Lattice, lam_field: MultiplierField) -> GaussianStat
     if plan is not None:
         return GaussianState._exact(lattice, *_gibbs_chebyshev(lattice, *plan))
     from scipy.linalg import eigh
-    from scipy.special import expit
+    from scipy.linalg.blas import zherk
 
+    # eigh overwrites the Fortran-ordered Khat in place of a copy, the
+    # eigenvectors V are scaled in place, and one Hermitian rank-k update
+    # (half the flops of a GEMM) gives the lower triangle of Chat = V V+,
+    # read into diagonals once V is freed: two L x L arrays at a time
     kappa, vecs = eigh(gibbs_exponent(lam_field), overwrite_a=True, check_finite=False)
+    vecs *= np.sqrt(fermi(kappa))
+    low = zherk(1.0, vecs, lower=1)
+    del vecs
     offsets = _all_offsets(lattice.L)
-    diagonals = _to_diagonals(_gram(vecs * np.sqrt(expit(kappa))), offsets)
-    return GaussianState._exact(lattice, diagonals, offsets, _mode_entropy(kappa))
+    return GaussianState._exact(lattice, _lower_diagonals(low, offsets), offsets,
+                                _mode_entropy(kappa))
 
 
 def evolve(state: GaussianState, t: float) -> GaussianState:

@@ -250,6 +250,19 @@ def densities_of(model, lam):
 
 
 class TestKernel:
+    def test_fermi_factor_matches_expit(self):
+        # numpy's Fermi factor against scipy's expit: within 1e-15 relative,
+        # or, past the cut at -700, within the 1e-304 it leaves; no
+        # floating-point exception anywhere, overflow and underflow included
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160001), [-709.8, 709.8, -1e300, 1e300]])
+        with np.errstate(all="raise"):
+            f = eos.fermi(x)
+        ref = expit(x)
+        assert np.all(np.abs(f - ref) <= 1e-15 * ref + 1e-304)
+        assert np.all(f[x >= 700.0] == 1.0)
+        g = x[np.abs(x) < 700.0]
+        assert np.array_equal(eos.fermi(g), eos._fermi(g, np.empty_like(g), np.empty_like(g))[0])
+
     @pytest.mark.parametrize("domain", [UNBOUNDED, BRILLOUIN])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_batched_matches_scalar(self, d, domain, rng):

@@ -307,9 +307,9 @@ class TestExperiments:
         inverted = []
         lambda_field_of = euler.lambda_field_of
 
-        def counted(qfield, model):
+        def counted(qfield, model, guess=None):
             inverted.append(qfield)
-            return lambda_field_of(qfield, model)
+            return lambda_field_of(qfield, model, guess)
 
         monkeypatch.setattr(euler, "lambda_field_of", counted)
         cfg = small_config("entropy-track", tmp_path / "e", times=[0.0, 0.005, 0.01])
@@ -318,6 +318,32 @@ class TestExperiments:
         # both L
         assert len(inverted) == 7
         assert len({id(q) for q in inverted}) == 7
+
+    def test_entropy_track_starts_each_inversion_warm(self, tmp_path, monkeypatch):
+        calls = []
+        lambda_field_of = euler.lambda_field_of
+
+        def recorded(qfield, model, guess=None):
+            lam = lambda_field_of(qfield, model, guess)
+            calls.append((guess, np.stack(lam)))
+            return lam
+
+        monkeypatch.setattr(euler, "lambda_field_of", recorded)
+        cfg = small_config("entropy-track", tmp_path / "e", times=[0.0, 0.005, 0.01])
+        experiments.run_entropy_track(cfg)
+        (g0, lam0), (g1, lam1), (g2, lam2), *ends = calls
+        # T = 0 from the profile's multipliers at the cell centres, whose
+        # densities the cells are: the Newton stops before its first step
+        centres = euler.MacroGrid(cfg.n_cells).centers
+        profile = euler.profile_fields(cfg.profile["kind"], cfg.profile["params"], centres)
+        assert np.array_equal(g0, profile.T)
+        assert np.array_equal(lam0, profile.T)
+        # each later report time from the previous one, and both ends of each
+        # difference (T - h, then T + h) from their own T
+        assert np.array_equal(g1, lam0) and np.array_equal(g2, lam1)
+        assert [e[0] is not None for e in ends] == [True] * 4
+        for (guess, _), own in zip(ends, (lam1, lam1, lam2, lam2)):
+            assert np.array_equal(guess, own)
 
     def test_entropy_track_builds_each_reference_once(self, tmp_path, monkeypatch):
         from fermi_euler import micro
@@ -534,13 +560,17 @@ class TestCli:
     def test_commands_import_only_the_scipy_they_run(self, tmp_path):
         # a fresh process, as the CLI starts: the modules loaded by importing
         # cli and config and loading a config, then by small euler-run,
-        # rate-scan and eos-table runs, none of which needs scipy's linear
-        # algebra, special functions or quadrature, the dense entropy oracle
-        # or the check registry
+        # rate-scan, eos-table and hydro-compare runs, none of which needs
+        # scipy's linear algebra, special functions or quadrature, the dense
+        # entropy oracle or the check registry (hydro-compare's Gibbs states
+        # of the default `lambda-cos` profile at L = 512 take the recurrence,
+        # whose Fermi factors are numpy's)
         configs = {
             "euler-run": {"n_cells": 32, "times": [0.0, 0.005], "table": SMALL_TABLE},
             "rate-scan": {"eos_domain": "unbounded", "extra": {"rate_scan": {"points": 5}}},
             "eos-table": {"table": SMALL_TABLE},
+            "hydro-compare": {"l_list": [512], "ell_ratio": 8, "n_cells": 32,
+                              "times": [0.0, 0.005], "table": SMALL_TABLE},
         }
         for kind, cfg in configs.items():
             (tmp_path / f"{kind}.json").write_text(json.dumps({"kind": kind, **cfg}))
@@ -554,7 +584,7 @@ class TestCli:
             tmp, bench = Path(sys.argv[1]), sys.argv[2]
             config.load_config(tmp / "euler-run.json")
             loaded = {"start": sorted(sys.modules)}
-            for kind in ("euler-run", "rate-scan", "eos-table"):
+            for kind in ("euler-run", "rate-scan", "eos-table", "hydro-compare"):
                 code = cli.main([kind, "--config", str(tmp / f"{kind}.json"),
                                  "--out", str(tmp / kind)])
                 assert code == 0 and (tmp / kind / "manifest.json").is_file()

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
+from scipy.linalg.blas import zherk
 from scipy.special import expit
 
 from fermi_euler import entropy, eos, micro
@@ -267,10 +268,20 @@ Q_COS = {"kind": "q-cos", "params": {"rho": 0.177, "rho_amp": 0.01, "mom_amp": 0
                                      "e_phase": 1.0}}
 
 
+def gram(w):
+    """w w+ mirrored whole from one Hermitian rank-k update's lower triangle,
+    the main diagonal made real."""
+    low = zherk(1.0, w, lower=1)
+    full = low + low.conj().T
+    full.flat[:: w.shape[0] + 1] = low.diagonal().real
+    return full
+
+
 def dense_gibbs(lf):
-    """The dense build: eigh of Khat, Chat = V expit(kappa) V+."""
+    """The dense build as a full matrix: eigh of Khat, Chat = V f(kappa) V+
+    with the package's Fermi factor f, mirrored whole by `gram`."""
     kappa, vecs = eigh(gibbs_exponent(lf), overwrite_a=True, check_finite=False)
-    return micro._gram(vecs * np.sqrt(expit(kappa))), micro._mode_entropy(kappa)
+    return gram(vecs * np.sqrt(eos.fermi(kappa))), micro._mode_entropy(kappa)
 
 
 class TestChebyshevGibbs:
@@ -385,6 +396,44 @@ class TestChebyshevGibbs:
         chat, s_vn = dense_gibbs(lf)
         assert np.array_equal(st.chat, chat)
         assert st.s_vn == s_vn
+
+    @pytest.mark.parametrize("L", [8, 9, 64, 512])
+    def test_dense_build_reads_its_diagonals_from_the_gram_triangle(self, L):
+        # the diagonals read from the lower triangle are bitwise those of the
+        # mirrored full matrix, and S_vN is the same, on a wide field
+        lat = Lattice(L)
+        lf = profile_field(lat, Q_COS)
+        assert micro._chebyshev_plan(lf, micro.CHEB_CROSSOVER * float(L) ** 3) is None
+        st = gibbs_gaussian(lat, lf)
+        chat, s_vn = dense_gibbs(lf)
+        assert np.array_equal(st.offsets, micro._all_offsets(L))
+        assert np.array_equal(st.diagonals, micro._to_diagonals(chat, st.offsets))
+        assert st.s_vn == s_vn
+
+    def test_dense_build_holds_two_dense_arrays(self):
+        # Khat overwritten by eigh, the eigenvectors scaled in place and freed
+        # before the diagonals are read: at most two L x L complex arrays live
+        # at once, against five when each step made a copy
+        lat = Lattice(512)
+        lf = profile_field(lat, Q_COS)
+        tracemalloc.start()
+        try:
+            gibbs_gaussian(lat, lf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 16 * 512**2
+
+    def test_dense_arrays_are_fortran_ordered(self):
+        lat = Lattice(16)
+        lf = smooth_field(lat, seed=3)
+        khat = gibbs_exponent(lf)
+        assert khat.flags.f_contiguous and not khat.flags.c_contiguous
+        st = gibbs_gaussian(lat, lf)
+        for fortran in (False, True):
+            dense = micro._to_dense(st.diagonals, st.offsets, fortran=fortran)
+            assert dense.flags.f_contiguous == fortran
+            assert np.array_equal(dense, st.chat)
 
     def test_aliasing_modes_rejected(self):
         lat = Lattice(8)
