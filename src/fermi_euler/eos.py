@@ -28,9 +28,10 @@ rule.  The scalar functions (`pressure_psi`, `dual_q`, `hessian_psi`,
 `invert_to_multipliers`) run the same code on one cell.  The rest-frame
 pressure closure P(rho, e_int), the virial residual, and the tabulated
 closure for the Euler solver also live here: a tensor Chebyshev
-interpolant of P on a (rho, e_int) rectangle, built by a DCT-II of P at
-Chebyshev points (`chebyshev_coefficients`, shared with the Fermi-operator
-expansion in micro), with its derivative series for the partials.  One
+interpolant of P on a (rho, e_int) rectangle (`table_rectangle` sizes one
+from a run's states), built by a DCT-II of P at Chebyshev points
+(`chebyshev_coefficients`, shared with the Fermi-operator expansion in
+micro), with its derivative series for the partials.  One
 `PressureClosure` call gives a state's P, dP/drho and dP/de_int together.
 
 Conventions: physical parameters are beta = lam4, alpha_j = lam_j/lam4,
@@ -803,13 +804,12 @@ def tabulate(
 
     Each point is inverted by `invert_to_multipliers`, warm-started by
     extrapolation from up to four neighbours; one batched Newton step on
-    all of them then takes the inversions to round-off, and P = psi/lam4.  The coefficients come from
-    a DCT-II along each axis, cut past the last degree above _TABLE_FLOOR
-    of the largest.  The whole rectangle must sit inside the one-phase
-    domain: the low edge of eint_range must clear the T=0 floor at the high
-    edge of rho_range, and on the Brillouin zone the high edge must stay
-    below the infinite-temperature energy rho * mean_k |p_k|^2/2 at the low
-    edge of rho_range.
+    all of them then takes the inversions to round-off, and P = psi/lam4.
+    The coefficients come from a DCT-II along each axis, cut past the last
+    degree above _TABLE_FLOOR of the largest.  The rectangle must sit inside
+    the one-phase domain, its limits: rho > 0, e_int above the T=0 floor at
+    the top rho and, on the Brillouin zone, rho below the filled band 1 and
+    e_int below the hot edge (`_hot_edge`) at the bottom rho.
     """
     rho_lo, rho_hi = rho_range
     eint_lo, eint_hi = eint_range
@@ -824,7 +824,7 @@ def tabulate(
             f"eint range dips below the T=0 floor {energy_floor(model, rho_hi):.6e}"
         )
     if model.domain == BRILLOUIN:
-        hot = rho_lo * 0.5 * model.d * np.mean(brillouin_momenta(model.bz_nodes) ** 2)
+        hot = _hot_edge(model, rho_lo)
         if eint_hi >= hot:
             raise OutOfDomain(f"eint range reaches the infinite-temperature energy {hot:.6e} "
                               f"at rho = {rho_lo}")
@@ -867,45 +867,49 @@ def tabulate(
                     eint_range=(float(eint_lo), float(eint_hi)), coef=coef)
 
 
+def _hot_edge(model: EosModel, rho):
+    """rho mean_k |p_k|^2/2, the Brillouin zone's infinite-temperature e_int."""
+    return rho * 0.5 * model.d * np.mean(brillouin_momenta(model.bz_nodes) ** 2)
+
+
+# A sized table pads each side of each axis by the hull's width (at least TABLE_PAD
+# of its midpoint); benchmark runs to T = 0.1 strayed at most 27% of that width.
+TABLE_PAD = 0.05
+
+
+def table_rectangle(model: EosModel, rho, eint) -> tuple:
+    """(rho_range, eint_range) of a closure table for the rest-frame states
+    (rho, e_int): their hull padded as TABLE_PAD says, each padded edge that
+    crosses one of `tabulate`'s limits pulled back halfway from it to the
+    hull.  The rho edges go first, within the limits that the hull's e_int
+    edges put on them through the T=0 floor and the hot edge, then the e_int
+    edges.  A hull across a limit is returned as it is: `tabulate` refuses it."""
+    hull = [(float(np.min(v)), float(np.max(v))) for v in (rho, eint)]
+    (rho_lo, rho_hi), (eint_lo, eint_hi) = hull
+    # the floor is energy_floor(1) rho^((d+2)/d), the hot edge linear in rho
+    bz = model.domain == BRILLOUIN
+    limits = (0.0, (eint_lo / energy_floor(model, 1.0)) ** (model.d / (model.d + 2.0)))
+    if bz:
+        limits = (eint_hi / _hot_edge(model, 1.0), min(limits[1], 1.0))
+    if not limits[0] < rho_lo <= rho_hi < limits[1]:
+        return tuple(hull)
+    for axis, (lo, hi) in enumerate(hull):
+        pad = max(hi - lo, TABLE_PAD * 0.5 * (lo + hi))
+        hull[axis] = (lo - pad if lo - pad > limits[0] else 0.5 * (limits[0] + lo),
+                      hi + pad if hi + pad < limits[1] else 0.5 * (limits[1] + hi))
+        limits = (energy_floor(model, hull[0][1]), _hot_edge(model, hull[0][0]) if bz else np.inf)
+    return tuple(hull)
+
+
+@dataclass(frozen=True)
 class PressureClosure:
     """The Euler solver's closure: closure(rho, e_int) is the triple
-    (P, dP/drho, dP/de_int), floats for scalar input.  Table-backed by
-    default (the Chebyshev interpolant and its derivative series, one
-    `EosTable.evaluate`), direct Newton evaluation when validating (the
-    rest-frame inversion and its exact response).
+    (P, dP/drho, dP/de_int) by one `EosTable.evaluate` of its required
+    table, floats for scalar input.  A call writes nothing."""
 
-    The table path holds no state.  The direct path inverts all points in
-    one batch and keeps their multipliers to start the next call: use one
-    direct instance per thread."""
-
-    def __init__(self, model: EosModel, table: EosTable | None = None):
-        self.model = model
-        self.table = table
-        self._guess = None
+    model: EosModel
+    table: EosTable
 
     def __call__(self, rho, eint):
-        if self.table is not None:
-            values = self.table.evaluate(rho, eint)
-        else:
-            values = self._direct(np.asarray(rho, dtype=float), np.asarray(eint, dtype=float))
+        values = self.table.evaluate(rho, eint)
         return tuple(map(float, values)) if np.ndim(values[0]) == 0 else values
-
-    def _direct(self, rho: np.ndarray, eint: np.ndarray):
-        """Rest-frame multipliers of every point by one `invert`, started
-        from the previous call's multipliers when the points are as many;
-        P = psi/lam4 and the exact partials from the 2x2 rest-frame response
-        d(rho, e)/d(lam0, lam4) = [[H00, H04], [-H04, -H44]] and
-        dP = (rho dlam0 - (e_int + P) dlam4) / lam4."""
-        q = np.zeros(rho.shape + (self.model.d + 2,))
-        q[..., 0], q[..., -1] = rho, eint
-        guess = self._guess if self._guess is not None and self._guess.shape == q.shape else None
-        lam = invert(self.model, q, guess)
-        self._guess = lam
-        psi, _, hess = moments(self.model, lam)
-        lam4 = lam[..., -1]
-        p = psi / lam4
-        h00, h04, h44 = hess[..., 0, 0], hess[..., 0, -1], hess[..., -1, -1]
-        jac_t = np.stack([np.stack([h00, -h04], axis=-1), np.stack([h04, -h44], axis=-1)], axis=-2)
-        grad_lam = np.stack([rho / lam4, -(eint + p) / lam4], axis=-1)
-        dp = np.linalg.solve(jac_t, grad_lam[..., None])[..., 0]
-        return p, dp[..., 0], dp[..., 1]

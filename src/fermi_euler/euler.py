@@ -5,9 +5,8 @@ Conservation form on the periodic unit torus,
     d/dT (rho, q1, q4) + d/dX (A0, A1, A4) = 0,
     A0 = q1,  A1 = P + q1^2/rho,  A4 = q1 (q4 + P) / rho,
 
-with P = P(rho, e_int) supplied by the free-Fermi-gas closure (the
-Chebyshev table when the config has a table section, direct Newton
-evaluation without one).  First-order Rusanov (local Lax-Friedrichs) interface fluxes
+with P = P(rho, e_int) supplied by the free-Fermi-gas closure, a Chebyshev
+table of the pressure.  First-order Rusanov (local Lax-Friedrichs) interface fluxes
 with the wave-speed bound |u| + c taken from the closed-form characteristic speeds u, u +- c of this flux,
 where c^2 = dP/drho + (e_int + P)/rho * dP/de_int comes from the partials
 that the closure returns with P; two-stage Heun time update: the simplest
@@ -180,8 +179,8 @@ def wave_speed_bound(
 
         c^2 = dP/drho + (e_int + P) / rho * dP/de_int
 
-    from the closure's values on q (on the table path its derivative
-    series, so these are the speeds of the pressure that enters the flux).
+    from the closure's values on q (the table's derivative series, so these
+    are the speeds of the pressure that enters the flux).
 
     Uses |mom|, so the bound is bitwise even in the momentum sign and the
     scheme stays bitwise equivariant under mirror reflection."""

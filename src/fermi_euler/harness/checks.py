@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .. import entropy, eos, euler, ldp, micro
 from ..micro import Lattice, MultiplierField
-from .config import DEFAULT_PROFILE, ExperimentConfig, eos_table, write_manifest
+from .config import DEFAULT_PROFILE, ExperimentConfig, write_manifest
 from .experiments import lam_sites_from_profile, run_entropy_track, run_hydro_compare
 
 M1_UNBOUNDED = eos.EosModel(d=1, domain=eos.UNBOUNDED)
@@ -504,9 +504,8 @@ _TABLE_SECTION = {"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065], "reso
 
 @lru_cache(maxsize=1)
 def _euler_fixture():
-    model = eos.EosModel(d=1, domain=eos.BRILLOUIN, bz_nodes=4096)
-    closure = eos.PressureClosure(model, eos_table(model, _TABLE_SECTION))
-    return model, closure, DEFAULT_PROFILE["params"]
+    closure = ExperimentConfig(table=_TABLE_SECTION).closure(None)
+    return closure.model, closure, DEFAULT_PROFILE["params"]
 
 
 def check_euler_conservation(rng, tol):

@@ -6,7 +6,7 @@ Subcommands: hydro-compare, entropy-track, checks, eos-table, euler-run,
 micro-run, rate-scan.  The config is a JSON file with ExperimentConfig
 fields; all tolerances are overridable under its `tolerances` section.
 Without --config, built-in defaults run (useful for `checks`).  A config
-without a `table` section evaluates the pressure closure directly.
+without a `table` section sizes its pressure table from its initial cells.
 """
 
 from __future__ import annotations

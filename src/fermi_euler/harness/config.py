@@ -89,13 +89,16 @@ class ExperimentConfig:
 
         return eos.EosModel(d=self.eos_d, domain=self.eos_domain, bz_nodes=self.bz_nodes)
 
-    def closure(self):
-        """Tabulated pressure closure when the config has a table section,
-        direct Newton evaluation without one."""
+    def closure(self, q0):
+        """The pressure closure of an Euler run from the cells q0: a table on
+        the table section's rectangle and resolution (eos.TABLE_RESOLUTION if
+        it names none), or on the one `eos.table_rectangle` sizes from q0."""
         from .. import eos
 
-        model = self.eos_model()
-        table = None if self.table is None else eos_table(model, self.table)
+        model, section = self.eos_model(), self.table or {}
+        ranges = ((section["rho_range"], section["eint_range"]) if section
+                  else eos.table_rectangle(model, q0.rho, q0.e_internal))
+        table = eos.tabulate(model, *ranges, section.get("resolution", eos.TABLE_RESOLUTION))
         return eos.PressureClosure(model, table)
 
     def tolerance(self, name: str, default: float) -> float:
@@ -107,15 +110,6 @@ class ExperimentConfig:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
-
-
-def eos_table(model, section: dict):
-    """The closure table of a table section: its rho_range x eint_range
-    rectangle at its resolution, eos.TABLE_RESOLUTION when it names none."""
-    from .. import eos
-
-    resolution = section.get("resolution", eos.TABLE_RESOLUTION)
-    return eos.tabulate(model, section["rho_range"], section["eint_range"], resolution)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .. import eos, euler, ldp, micro
 from ..micro import GaussianState, Lattice, MultiplierField
-from .config import ExperimentConfig, eos_table, write_manifest
+from .config import ExperimentConfig, write_manifest
 
 TEST_FUNCTIONS = {
     "one": lambda X: np.ones_like(X),
@@ -142,14 +142,20 @@ def lam_sites_from_profile(profile: dict, X: np.ndarray, model: eos.EosModel):
     return tuple(np.ascontiguousarray(fields.T))
 
 
+def _initial_cells(config: ExperimentConfig):
+    """(model, grid, q0): the config's EOS model, grid and initial cells."""
+    model = config.eos_model()
+    grid = euler.MacroGrid(config.n_cells)
+    return model, grid, euler.initial_q_field(config.profile["kind"], config.profile["params"],
+                                              grid, model)
+
+
 def _euler_trajectory(config: ExperimentConfig, stops: list):
     """(model, closure, grid, trajectory): the config's EOS model, pressure
     closure and grid, and the Euler run of its profile's initial cells to
     the last report time, stopping at each time in stops."""
-    model = config.eos_model()
-    closure = config.closure()
-    grid = euler.MacroGrid(config.n_cells)
-    q0 = euler.initial_q_field(config.profile["kind"], config.profile["params"], grid, model)
+    model, grid, q0 = _initial_cells(config)
+    closure = config.closure(q0)
     traj = euler.run(q0, config.report_times[-1], grid, closure, cfl=config.cfl,
                      snapshot_times=stops)
     return model, closure, grid, traj
@@ -443,13 +449,10 @@ def run_micro(config: ExperimentConfig, out_dir=None) -> Path:
 
 
 def run_eos_table(config: ExperimentConfig, out_dir=None) -> Path:
-    """eos-table: the closure table of the config's table section (or of
-    [0.15, 0.21] x [0.035, 0.065]), previewed as P and its partials on a
-    uniform 12 x 12 grid."""
-    ranges = config.table or {"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065]}
-    table = eos_table(config.eos_model(), ranges)
+    """eos-table: the closure table of an Euler run of the config, previewed
+    as P and its partials on a uniform 12 x 12 grid."""
+    table = config.closure(_initial_cells(config)[2]).table
     out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rho, eint = np.meshgrid(np.linspace(*table.rho_range, 12),
                             np.linspace(*table.eint_range, 12), indexing="ij")
     columns = (rho, eint, *table.evaluate(rho, eint))

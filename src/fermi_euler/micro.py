@@ -137,11 +137,11 @@ def _circulant(c: np.ndarray) -> np.ndarray:
 
 def _shifted(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """S[i, k] = values[(k + offsets[i]) mod L]: what row k meets on each
-    wrapped diagonal q - k = offsets[i]."""
-    L = values.size
-    v2 = np.concatenate((values, values))
-    partner = as_strided(v2, shape=(L, L), strides=(v2.strides[0],) * 2, writeable=False)
-    return partner[offsets % L]
+    wrapped diagonal q - k = offsets[i].  A read-only view of the values
+    tiled three times, row i from offsets[0] mod L + i (offsets contiguous)."""
+    v3 = np.tile(values, 3)
+    return as_strided(v3[offsets[0] % values.size:], shape=(offsets.size, values.size),
+                      strides=v3.strides * 2, writeable=False)
 
 
 def _all_offsets(L: int) -> np.ndarray:

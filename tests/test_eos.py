@@ -647,16 +647,17 @@ class TestInversion:
             invert_to_multipliers(M1, ConservedVector(rho=0.3, mom=[np.nan], e=0.1))
 
 
-def rest_pressure(rho, eint):
-    """P(rho, e_int) of the direct closure, started cold."""
-    return PressureClosure(M1, None)(rho, eint)[0]
+@pytest.fixture
+def rest_pressure(direct_closure):
+    """P(rho, e_int) of the direct closure oracle on the unbounded domain."""
+    return lambda rho, eint: direct_closure(M1, rho, eint)[0]
 
 
 class TestRestPressure:
-    def test_degenerate_pressure(self):
+    def test_degenerate_pressure(self, rest_pressure):
         assert rest_pressure(0.318310, 0.053052) == pytest.approx(1 / (3 * np.pi), rel=0.01)
 
-    def test_boost_invariance(self):
+    def test_boost_invariance(self, rest_pressure):
         # the moving-frame inversion gives the rest-frame pressure
         s = 0.7
         rho, eint = 0.3, 0.08
@@ -665,7 +666,7 @@ class TestRestPressure:
         assert lam.alpha[0] == pytest.approx(s, abs=1e-8)
         assert abs(rest_pressure(rho, eint) - pressure_psi(M1, lam) / lam.beta) < 1e-8
 
-    def test_rest_consistency_with_psi(self):
+    def test_rest_consistency_with_psi(self, rest_pressure):
         lam = invert_to_multipliers(M1, ConservedVector(rho=0.25, mom=[0.0], e=0.07))
         assert abs(rest_pressure(0.25, 0.07) - pressure_psi(M1, lam) / lam.beta) < 1e-9
 
@@ -765,17 +766,17 @@ class TestTable:
         # further degree costs each closure call two ufuncs and more matmul
         assert max(bz_table.coef.shape[1:]) <= 21  # degree <= 20 per axis
 
-    def test_partials_match_direct_closure(self, bz_table, rng):
+    def test_partials_match_direct_closure(self, bz_table, rng, direct_closure):
         # the chebder series against the direct closure's exact response,
         # each relative to its largest value (dP/drho ~ -4e-4, dP/de_int ~ 2);
         # largest at the edges, 3.5e-8 and 1.1e-9 there
         rho, eint = rectangle_sample(bz_table.rho_range, bz_table.eint_range, rng, 100, 4)
         got = bz_table.evaluate(rho, eint)[1:]
-        want = PressureClosure(BZ, None)(rho, eint)[1:]
+        want = direct_closure(BZ, rho, eint)[1:]
         for g, w, tol in zip(got, want, (1e-7, 1e-8)):
             assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w))
 
-    def test_random_probes(self, table, rng):
+    def test_random_probes(self, table, rng, rest_pressure):
         rho = rng.uniform(0.19, 0.35, 100)
         eint = rng.uniform(0.09, 0.215, 100)
         direct = rest_pressure(rho, eint)
@@ -808,7 +809,7 @@ class TestTable:
         assert dpr == pytest.approx(fd_r, rel=1e-5)
         assert dpe == pytest.approx(fd_e, rel=1e-5)
 
-    def test_direct_partials_match_fd_of_direct(self):
+    def test_direct_partials_match_fd_of_direct(self, rest_pressure, direct_closure):
         # exact thermodynamic partials of the direct closure vs finite
         # differences of direct evaluations, at a fixed point
         rho, eint = 0.25, 0.13
@@ -816,20 +817,23 @@ class TestTable:
 
         fd_r = (rest_pressure(rho + h, eint) - rest_pressure(rho - h, eint)) / (2 * h)
         fd_e = (rest_pressure(rho, eint + h) - rest_pressure(rho, eint - h)) / (2 * h)
-        _, dp_drho, dp_deint = PressureClosure(M1, None)(rho, eint)
+        _, dp_drho, dp_deint = direct_closure(M1, rho, eint)
         # in 1D the virial identity forces P = 2 e_int, so dP/drho vanishes
         # identically and only an absolute comparison is meaningful there
         assert dp_drho == pytest.approx(fd_r, rel=1e-5, abs=1e-8)
         assert dp_deint == pytest.approx(fd_e, rel=1e-5)
         assert dp_deint == pytest.approx(2.0, abs=1e-9)
 
-    @pytest.mark.parametrize("tabled", [True, False], ids=["table", "direct"])
-    def test_closure_scalar_input_gives_three_floats(self, bz_table, tabled):
-        closure = PressureClosure(BZ, bz_table if tabled else None)
+    def test_closure_scalar_input_gives_three_floats(self, bz_table):
+        closure = PressureClosure(BZ, bz_table)
         scalar = closure(0.18, 0.05)
         assert isinstance(scalar, tuple) and len(scalar) == 3
         assert all(isinstance(v, float) for v in scalar)
         assert scalar == tuple(a[0] for a in closure(np.array([0.18]), np.array([0.05])))
+
+    def test_closure_requires_a_table(self):
+        with pytest.raises(TypeError):
+            PressureClosure(BZ)
 
     def test_closure_is_one_table_evaluation(self, bz_table, rng):
         rho, eint = rectangle_sample(bz_table.rho_range, bz_table.eint_range, rng, 50, 4)
@@ -887,6 +891,50 @@ class TestTable:
         with pytest.raises(OutOfDomain, match=r"e_int = 0\.05 at index 1 outside the "
                                               r"tabulated range \[0\.085, 0\.22\]"):
             table.evaluate(np.full(5, 0.3), eint)
+
+
+def cold_cells(n=256):
+    """Rest-frame (rho, e_int) of a cold multiplier profile on the 4096-node
+    zone, beta = 20 +- 2 and mu near 0.1, whose hull sits close to the T=0
+    floor."""
+    X = (np.arange(n) + 0.5) / n
+    lam = np.stack([2.0 + 0.08 * np.cos(2 * np.pi * X), 0.1 * np.sin(2 * np.pi * X),
+                    20.0 + 2.0 * np.cos(2 * np.pi * X + 0.7)], axis=-1)
+    q = moments(BZ, lam, psi=False, hess=False)[1]
+    return q[:, 0], -q[:, 2] - 0.5 * q[:, 1] ** 2 / q[:, 0]
+
+
+class TestTableRectangle:
+    def test_hull_padded_by_its_width_or_the_pad(self):
+        # a hull of width w gets w on each side; a hull of no width
+        # TABLE_PAD of its value
+        rho_range, eint_range = eos.table_rectangle(M1, [0.2, 0.3, 0.25], [0.2, 0.2, 0.2])
+        assert rho_range == pytest.approx((0.1, 0.4), rel=1e-15)
+        assert eint_range == pytest.approx((0.2 * (1 - eos.TABLE_PAD), 0.2 * (1 + eos.TABLE_PAD)),
+                                           rel=1e-15)
+
+    def test_floor_clip_passes_the_table_checks(self):
+        # padded by its width, the e_int edge would cross the floor at the
+        # top rho; pulled halfway back, the rectangle holds every cell and
+        # builds
+        rho, eint = cold_cells()
+        (rho_lo, rho_hi), (eint_lo, eint_hi) = eos.table_rectangle(BZ, rho, eint)
+        floor = energy_floor(BZ, rho_hi)
+        assert eint.min() - np.ptp(eint) <= floor
+        assert eint_lo == 0.5 * (floor + eint.min())
+        assert rho_lo < rho.min() and rho.max() < rho_hi
+        assert eint_lo < eint.min() and eint.max() < eint_hi
+        table = tabulate(BZ, (rho_lo, rho_hi), (eint_lo, eint_hi), resolution=(8, 8))
+        table.evaluate(rho, eint)
+
+    def test_hull_across_the_floor_is_refused(self):
+        # the lowest e_int sits below the floor at the highest rho: no
+        # (rho, e_int) rectangle holds both cells
+        rho = np.array([0.1, 0.3])
+        eint = 1.5 * energy_floor(M1, rho)
+        assert eos.table_rectangle(M1, rho, eint) == ((0.1, 0.3), tuple(eint))
+        with pytest.raises(OutOfDomain, match="T=0 floor"):
+            tabulate(M1, *eos.table_rectangle(M1, rho, eint))
 
 
 # The one-cell inversions as first written: every call tests and words each

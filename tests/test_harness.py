@@ -13,10 +13,36 @@ import pytest
 from fermi_euler import eos, euler
 from fermi_euler.harness import checks, experiments
 from fermi_euler.harness.cli import main as cli_main
-from fermi_euler.harness.config import ExperimentConfig, load_config, write_manifest
+from fermi_euler.harness.config import (
+    DEFAULT_PROFILE,
+    ExperimentConfig,
+    load_config,
+    write_manifest,
+)
+from test_micro import Q_COS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_TABLE = {"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065], "resolution": [16, 16]}
+
+
+def default_profile(**params):
+    """The default `lambda-cos` profile with some parameters replaced."""
+    return {"kind": "lambda-cos", "params": {**DEFAULT_PROFILE["params"], **params}}
+
+
+# Profiles whose Euler runs close on a table sized from their initial cells:
+# the default, the benchmark's `euler-N1024` profile at seed 1, a density
+# profile, a constant beta = 4 and a cold one, where the floor clips the
+# table's e_int edge.
+DERIVED_TABLE_PROFILES = {
+    "default": DEFAULT_PROFILE,
+    "perfbench-seed-1": default_profile(lam0_phase=0.8442354444173306,
+                                        lam1_phase=5.324583204732311,
+                                        lam4_phase=4.798937463950548),
+    "q-cos": Q_COS,
+    "constant-beta-4": default_profile(lam4=4.0, lam4_amp=0.0),
+    "cold": default_profile(lam0=2.0, lam4=20.0, lam4_amp=2.0),
+}
 
 
 def small_config(kind, out_dir, **kw):
@@ -70,7 +96,7 @@ class TestConfig:
 
         seen = []
         monkeypatch.setattr(eos, "tabulate", lambda model, rho, eint, res: seen.append(res))
-        ExperimentConfig(table={"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065]}).closure()
+        ExperimentConfig(table={"rho_range": [0.15, 0.21], "eint_range": [0.035, 0.065]}).closure(None)
         assert seen == [eos.TABLE_RESOLUTION]
 
     @pytest.mark.parametrize("profile, message", [
@@ -85,15 +111,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(kind="euler-run", profile=profile, table=SMALL_TABLE)
 
-    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", [None] + sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: "defaults" if p is None else p.name)
     def test_shipped_config_starts_inside_its_table(self, path):
         # a profile edit that leaves the table's rectangle (or the one-phase
-        # region) fails here, not in the closure at run time
-        cfg = load_config(path)
-        model = cfg.eos_model()
-        q = euler.initial_q_field(cfg.profile["kind"], cfg.profile["params"],
-                                  euler.MacroGrid(cfg.n_cells), model)
-        (rho_lo, rho_hi), (eint_lo, eint_hi) = cfg.table["rho_range"], cfg.table["eint_range"]
+        # region) fails here, not in the closure at run time; the defaults
+        # have no table section, so theirs is sized from their cells
+        cfg = ExperimentConfig() if path is None else load_config(path)
+        model, _, q = experiments._initial_cells(cfg)
+        if cfg.table is None:
+            (rho_lo, rho_hi), (eint_lo, eint_hi) = eos.table_rectangle(model, q.rho, q.e_internal)
+        else:
+            (rho_lo, rho_hi), (eint_lo, eint_hi) = cfg.table["rho_range"], cfg.table["eint_range"]
         assert rho_lo < q.rho.min() and q.rho.max() < rho_hi
         assert eint_lo < q.e_internal.min() and q.e_internal.max() < eint_hi
         assert np.all(q.e_internal > eos.energy_floor(model, q.rho))
@@ -289,9 +318,8 @@ class TestExperiments:
         # the gap is second order in h: 1.9e-7 at h = 1e-4, 2.7e-9 at 1e-5
         # (relative to each component's largest |rate|)
         cfg = small_config("entropy-track", "unused")
-        model, closure = cfg.eos_model(), cfg.closure()
-        grid = euler.MacroGrid(cfg.n_cells)
-        q0 = euler.initial_q_field(cfg.profile["kind"], cfg.profile["params"], grid, model)
+        model, grid, q0 = experiments._initial_cells(cfg)
+        closure = cfg.closure(q0)
         t, h = 0.01, 1e-5
         sols = [euler.EulerSolution(grid, euler.run(q0, t - h, grid, closure).snapshots[-1],
                                     t - h, closure)]
@@ -387,6 +415,20 @@ class TestExperiments:
         assert parts > 1
         assert dts[-2 * parts:] == [2e-4 / parts] * (2 * parts)
         assert row[6] == pytest.approx(row[5], rel=1e-3)
+
+    @pytest.mark.parametrize("profile", DERIVED_TABLE_PROFILES.values(),
+                             ids=DERIVED_TABLE_PROFILES.keys())
+    def test_derived_table_holds_the_run_to_T_0_1(self, profile):
+        # without a table section the closure's table is sized from the
+        # initial cells, and every state of the run stays inside it
+        cfg = ExperimentConfig(kind="euler-run", profile=profile, times=[0.0, 0.1])
+        model, grid, q0 = experiments._initial_cells(cfg)
+        closure = cfg.closure(q0)
+        assert (closure.table.rho_range, closure.table.eint_range) == eos.table_rectangle(
+            model, q0.rho, q0.e_internal)
+        traj = euler.run(q0, 0.1, grid, closure, snapshot_times=[0.025, 0.05, 0.075])
+        for q in traj.snapshots:
+            closure(q.rho, q.e_internal)
 
     def test_euler_run_outputs(self, tmp_path):
         cfg = small_config("euler-run", tmp_path / "er")
@@ -557,6 +599,38 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "cli_er" / "manifest.json").exists()
 
+    def test_default_euler_run_repeats_bytewise_without_inverting(self, tmp_path, monkeypatch):
+        # the built-in euler-run has no table section: its closure's table is
+        # sized from its initial cells, and nothing but that table's build
+        # inverts densities
+        building, late = [False], []
+        tabulate = eos.tabulate
+
+        def tabulating(*args, **kwargs):
+            building[0] = True
+            try:
+                return tabulate(*args, **kwargs)
+            finally:
+                building[0] = False
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                if not building[0]:
+                    late.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(eos, "tabulate", tabulating)
+        for name in ("invert", "invert_to_multipliers"):
+            monkeypatch.setattr(eos, name, counted(getattr(eos, name)))
+        outputs = []
+        for run in ("a", "b"):
+            assert cli_main(["euler-run", "--out", str(tmp_path / run)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in (tmp_path / run).glob("*.csv")})
+        assert late == []
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
     def test_commands_import_only_the_scipy_they_run(self, tmp_path):
         # a fresh process, as the CLI starts: the modules loaded by importing
         # cli and config and loading a config, then by small euler-run,
@@ -564,16 +638,20 @@ class TestCli:
         # scipy's linear algebra, special functions or quadrature, the dense
         # entropy oracle or the check registry (hydro-compare's Gibbs states
         # of the default `lambda-cos` profile at L = 512 take the recurrence,
-        # whose Fermi factors are numpy's)
+        # whose Fermi factors are numpy's); the euler-run and eos-table
+        # without a table section size theirs from their initial cells
         configs = {
             "euler-run": {"n_cells": 32, "times": [0.0, 0.005], "table": SMALL_TABLE},
             "rate-scan": {"eos_domain": "unbounded", "extra": {"rate_scan": {"points": 5}}},
             "eos-table": {"table": SMALL_TABLE},
             "hydro-compare": {"l_list": [512], "ell_ratio": 8, "n_cells": 32,
                               "times": [0.0, 0.005], "table": SMALL_TABLE},
+            "euler-run-derived": {"n_cells": 32, "times": [0.0, 0.005]},
+            "eos-table-derived": {"n_cells": 32},
         }
-        for kind, cfg in configs.items():
-            (tmp_path / f"{kind}.json").write_text(json.dumps({"kind": kind, **cfg}))
+        for name, cfg in configs.items():
+            kind = name.removesuffix("-derived")
+            (tmp_path / f"{name}.json").write_text(json.dumps({"kind": kind, **cfg}))
         script = textwrap.dedent("""
             import json
             import sys
@@ -584,10 +662,10 @@ class TestCli:
             tmp, bench = Path(sys.argv[1]), sys.argv[2]
             config.load_config(tmp / "euler-run.json")
             loaded = {"start": sorted(sys.modules)}
-            for kind in ("euler-run", "rate-scan", "eos-table", "hydro-compare"):
-                code = cli.main([kind, "--config", str(tmp / f"{kind}.json"),
-                                 "--out", str(tmp / kind)])
-                assert code == 0 and (tmp / kind / "manifest.json").is_file()
+            for path in sorted(tmp.glob("*.json")):
+                kind = json.loads(path.read_text())["kind"]
+                code = cli.main([kind, "--config", str(path), "--out", str(tmp / path.stem)])
+                assert code == 0 and (tmp / path.stem / "manifest.json").is_file()
             loaded["runs"] = sorted(sys.modules)
             sys.path.insert(0, bench)
             import tracing
